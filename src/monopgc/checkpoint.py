@@ -1,9 +1,10 @@
 """Self-describing checkpoint container.
 
 Layout: a text manifest (one line per tensor with name, dtype, shape, byte
-offset and length), a PAYLOAD marker, then the raw little-endian float
-bytes back to back. Loading restores arrays bit-exactly, so a forward pass
-after save/load reproduces the pre-save outputs to the bit.
+offset and length; a 0-d array's shape is "()"), a PAYLOAD marker, then the
+raw little-endian float bytes back to back. Loading restores arrays
+bit-exactly, so a forward pass after save/load reproduces the pre-save
+outputs to the bit.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .errors import FormatError
 MAGIC = "MONOPGC-CKPT 1"
 
 _DTYPES = {"f4": "<f4", "f8": "<f8"}
+# manifest shape of a 0-d array; files written before it stored such arrays
+# as shape "1" and still load, as shape (1,)
+SCALAR_SHAPE = "()"
 
 
 def save_checkpoint(path, params, step=0, config_hash="", extra_arrays=None, meta=None):
@@ -25,7 +29,7 @@ def save_checkpoint(path, params, step=0, config_hash="", extra_arrays=None, met
     payload = bytearray()
 
     def add(name, array):
-        arr = np.ascontiguousarray(array)
+        arr = np.asarray(array)  # tobytes() below is C order; keeps 0-d arrays 0-d
         if arr.dtype == np.float32:
             code = "f4"
         elif arr.dtype == np.float64:
@@ -34,7 +38,7 @@ def save_checkpoint(path, params, step=0, config_hash="", extra_arrays=None, met
             arr = arr.astype(np.float64)
             code = "f8"
         raw = arr.astype(_DTYPES[code], copy=False).tobytes()
-        shape = ",".join(str(s) for s in arr.shape) or "1"
+        shape = ",".join(str(s) for s in arr.shape) or SCALAR_SHAPE
         entries.append(f"tensor {name} {code} {shape} {len(payload)} {len(raw)}")
         payload.extend(raw)
 
@@ -79,7 +83,7 @@ def load_checkpoint(path):
             name, code, shape_s, offset_s, nbytes_s = rest.split(" ")
             if code not in _DTYPES:
                 raise FormatError(f"unknown dtype code {code!r}")
-            shape = tuple(int(s) for s in shape_s.split(","))
+            shape = () if shape_s == SCALAR_SHAPE else tuple(int(s) for s in shape_s.split(","))
             offset, nbytes = int(offset_s), int(nbytes_s)
             arr = np.frombuffer(payload[offset:offset + nbytes], dtype=_DTYPES[code]).reshape(shape)
             if name.startswith("param:"):

@@ -17,7 +17,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
 from .data import load_image, write_label_file
 from .dsat import PE_KINDS
-from .errors import MonoPGCError
+from .errors import ConfigError, MonoPGCError
 from .head import detection_bbox2d, detection_to_label
 from .pipeline import (MonoPGCModel, TrainingAborted, make_synthetic_samples,
                        predictions_on_samples, train)
@@ -88,11 +88,14 @@ def _load_run_config(args):
 
 def cmd_train(args):
     cfg = _load_run_config(args)
+    if cfg.mode == "kitti":
+        if not cfg.image_dir:
+            raise ConfigError("kitti mode needs data.image_dir")
+        if cfg.label_dir and not cfg.calib_dir:
+            raise ConfigError("kitti mode with data.label_dir needs data.calib_dir: "
+                              "training targets are the labels projected through the calibration")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.mode == "kitti" and not cfg.image_dir:
-        print("error: kitti mode needs data.image_dir", file=sys.stderr)
-        return EXIT_CONFIG
 
     log_path = out_dir / "train.log"
     lines = []

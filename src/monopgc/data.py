@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, GenerationError, ParseError
-from .geometry import CameraCalibration, rotation_y
+from .geometry import CameraCalibration, _wrap_angle, rotation_y
 from .numerics import Tensor
 
 DONTCARE = "DontCare"
@@ -421,14 +421,6 @@ def _bbox_overlap_fraction(a, b):
     ih = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))
     smaller = min((a[2] - a[0]) * (a[3] - a[1]), (b[2] - b[0]) * (b[3] - b[1]))
     return iw * ih / smaller if smaller > 0 else 0.0
-
-
-def _wrap_angle(a):
-    while a <= -math.pi:
-        a += 2 * math.pi
-    while a > math.pi:
-        a -= 2 * math.pi
-    return a
 
 
 def scene_to_files(scene, stem, image_dir, label_dir, calib_dir):

@@ -1,12 +1,22 @@
 """Rotated-box IoU, difficulty bucketing, and average precision at 40 points.
 
-The production IoU path clips one rectangle against the other exactly
-(convex polygon intersection, at most an octagon) and is checked against a
-rasterization oracle kept here for tests and self-checks. AP follows the
-40-recall-point interpolated-precision definition, with the standard
-convention that ground truths outside the evaluated difficulty bucket are
-ignored: they neither count as misses nor turn their matches into false
-positives.
+IoU is exact: one rectangle is clipped against the other (convex polygon
+intersection, at most an octagon) by a Sutherland-Hodgman pass that is
+batched over a whole list of box pairs, and it is checked against a
+rasterization oracle kept here for tests and self-checks. The scalar
+functions `bev_intersection_area`, `rotated_bev_iou` and `iou_3d` are 1x1
+calls into the same batched code.
+
+Evaluation builds one `PairTable` per (image, class): the detections sorted
+by descending score, the ground-truth difficulty labels, and the 3D and BEV
+IoU matrices [P, G], both derived from one BEV-intersection matrix plus the
+vertical overlap. Every (detection, ground truth) pair of every image is
+clipped exactly once, in one batched pass, and every metric and difficulty
+bucket reads the same tables through one greedy detection-major matching
+routine. AP follows the 40-recall-point interpolated-precision definition,
+with the standard convention that ground truths outside the evaluated
+difficulty bucket are ignored: they neither count as misses nor turn their
+matches into false positives.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from .errors import DomainError, EvaluationError
 from .head import detection_from_label
 
 DIFFICULTIES = ("easy", "moderate", "hard")
+METRICS = ("3d", "bev")
 
 # KITTI-convention gates: min 2D box height, max occlusion, max truncation
 DIFFICULTY_RULES = {
@@ -51,16 +62,7 @@ class BevBox:
 
     def corners(self):
         """4x2 corner array, counter-clockwise in the (x, z) plane."""
-        c, s = math.cos(self.angle), math.sin(self.angle)
-        half = np.array([[self.length / 2, self.width / 2],
-                         [-self.length / 2, self.width / 2],
-                         [-self.length / 2, -self.width / 2],
-                         [self.length / 2, -self.width / 2]])
-        rot = np.array([[c, s], [-s, c]])  # matches rotation about the vertical axis
-        pts = half @ rot.T + np.array([self.cx, self.cz])
-        if _signed_area(pts) < 0:
-            pts = pts[::-1]
-        return pts
+        return _corners(_box_params([self]))[0]
 
 
 def bev_box_of(obj):
@@ -74,62 +76,110 @@ def bev_box_of(obj):
     raise TypeError(f"cannot derive a BEV box from {type(obj).__name__}")
 
 
-def _signed_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _box_params(boxes):
+    """[n, 5] array of (cx, cz, length, width, angle) for BevBoxes."""
+    return np.array([(b.cx, b.cz, b.length, b.width, b.angle) for b in boxes],
+                     dtype=np.float64).reshape(-1, 5)
 
 
-def _clip_polygon(subject, clip):
-    """Sutherland-Hodgman: clip `subject` by convex CCW polygon `clip`."""
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        if not output:
-            return []
-        a = clip[i]
-        b = clip[(i + 1) % n]
-        edge = (b[0] - a[0], b[1] - a[1])
-        input_pts = output
-        output = []
+def _corners(params):
+    """[n, 4, 2] box corners, counter-clockwise in the (x, z) plane.
 
-        def inside(p):
-            return edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= 0
+    The half-extent corners are listed counter-clockwise, and a rotation
+    keeps that order.
+    """
+    cx, cz, length, width, angle = (col[:, None] for col in params.T)
+    c, s = np.cos(angle), np.sin(angle)
+    hx = np.array([0.5, -0.5, -0.5, 0.5]) * length
+    hz = np.array([0.5, 0.5, -0.5, -0.5]) * width
+    # rotation about the vertical axis: x' = c x + s z, z' = -s x + c z
+    return np.stack([hx * c + hz * s + cx, hz * c - hx * s + cz], axis=-1)
 
-        def intersect(p, q):
-            # line a-b with segment p-q
-            dp = (q[0] - p[0], q[1] - p[1])
-            denom = edge[0] * dp[1] - edge[1] * dp[0]
-            t = (edge[0] * (a[1] - p[1]) - edge[1] * (a[0] - p[0])) / denom
-            return (p[0] + t * dp[0], p[1] + t * dp[1])
 
-        prev = input_pts[-1]
-        prev_in = inside(prev)
-        for cur in input_pts:
-            cur_in = inside(cur)
-            if cur_in:
-                if not prev_in:
-                    output.append(intersect(prev, cur))
-                output.append(tuple(cur))
-            elif prev_in:
-                output.append(intersect(prev, cur))
-            prev, prev_in = cur, cur_in
-    return output
+def _clip_areas(subject, clip):
+    """Batched Sutherland-Hodgman: area of each subject[k] clipped by clip[k].
+
+    subject, clip: [N, 4, 2] counter-clockwise quadrilaterals (clip convex).
+    Row k holds a polygon of count[k] vertices, padded to the widest row;
+    each clip edge turns every vertex into zero, one or two output vertices
+    (the edge crossing from the previous vertex, then the vertex itself).
+    """
+    n = len(subject)
+    poly, count = subject, np.full(n, 4)
+    rows = np.arange(n)[:, None]
+    for e in range(4):
+        ax, ay = clip[:, e, 0:1], clip[:, e, 1:2]
+        ex = clip[:, (e + 1) % 4, 0:1] - ax
+        ey = clip[:, (e + 1) % 4, 1:2] - ay
+        k = np.arange(poly.shape[1])
+        valid = k < count[:, None]
+        prev = poly[rows, np.where(k == 0, np.maximum(count[:, None] - 1, 0), k - 1)]
+        qx, qy = poly[..., 0], poly[..., 1]
+        px, py = prev[..., 0], prev[..., 1]
+        cur_in = ex * (qy - ay) - ey * (qx - ax) >= 0
+        prev_in = ex * (py - ay) - ey * (px - ax) >= 0
+        cross = valid & (cur_in != prev_in)
+        keep = valid & cur_in
+        # line a-b with segment prev-cur; a segment lying along the edge can
+        # test as crossing it through rounding, with a zero denominator, so
+        # the crossing is kept on the segment
+        dx, dy = qx - px, qy - py
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (ex * (ay - py) - ey * (ax - px)) / (ex * dy - ey * dx)
+        t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
+        emitted = cross.astype(np.intp) + keep
+        start = np.cumsum(emitted, axis=1) - emitted
+        count = emitted.sum(axis=1)
+        out = np.zeros((n, max(int(count.max()), 1), 2))
+        r, c = np.nonzero(cross)
+        out[r, start[r, c], 0] = px[r, c] + t[r, c] * dx[r, c]
+        out[r, start[r, c], 1] = py[r, c] + t[r, c] * dy[r, c]
+        r, c = np.nonzero(keep)
+        out[r, start[r, c] + cross[r, c]] = poly[r, c]
+        poly = out
+    # shoelace over each row's count vertices, summed in vertex order so a
+    # row's area does not depend on the padding the other rows need
+    k = np.arange(poly.shape[1])
+    valid = k < count[:, None]
+    nxt = poly[rows, np.where(k + 1 < count[:, None], k + 1, 0)]
+    xy = np.where(valid, poly[..., 0] * nxt[..., 1], 0.0)
+    yx = np.where(valid, poly[..., 1] * nxt[..., 0], 0.0)
+    sum_xy, sum_yx = np.zeros(n), np.zeros(n)
+    for col in range(poly.shape[1]):
+        sum_xy += xy[:, col]
+        sum_yx += yx[:, col]
+    return np.where(count >= 3, np.abs(0.5 * (sum_xy - sum_yx)), 0.0)
+
+
+def _pair_intersections(params, i, j):
+    """BEV intersection areas of the box pairs (params[i[k]], params[j[k]]).
+
+    Each box's corners are computed once, and all pairs are clipped in one
+    batched pass. In every pair the box with the smaller (cx, cz, length,
+    width, angle) key is clipped by the other: that canonical operand order
+    makes the float arithmetic, and therefore the result, exactly symmetric.
+    """
+    if len(i) == 0:
+        return np.zeros(0)
+    rank = np.empty(len(params), dtype=np.intp)
+    rank[np.lexsort(params.T[::-1])] = np.arange(len(params))
+    swap = rank[j] < rank[i]
+    corners = _corners(params)
+    return _clip_areas(corners[np.where(swap, j, i)], corners[np.where(swap, i, j)])
+
+
+def bev_intersection_matrix(boxes_a, boxes_b):
+    """[len(a), len(b)] BEV intersection areas of every pair, in one batched pass."""
+    na, nb = len(boxes_a), len(boxes_b)
+    params = _box_params([bev_box_of(box) for box in (*boxes_a, *boxes_b)])
+    i = np.repeat(np.arange(na), nb)
+    j = na + np.tile(np.arange(nb), na)
+    return _pair_intersections(params, i, j).reshape(na, nb)
 
 
 def bev_intersection_area(a, b):
-    box_a, box_b = bev_box_of(a), bev_box_of(b)
-    # canonical operand order makes the float arithmetic, and therefore the
-    # result, exactly symmetric in (a, b)
-    key = lambda box: (box.cx, box.cz, box.length, box.width, box.angle)
-    if key(box_b) < key(box_a):
-        box_a, box_b = box_b, box_a
-    pa = [tuple(p) for p in box_a.corners()]
-    pb = [tuple(p) for p in box_b.corners()]
-    poly = _clip_polygon(pa, pb)
-    if len(poly) < 3:
-        return 0.0
-    pts = np.asarray(poly)
-    return abs(_signed_area(pts))
+    """Exact area of the intersection of two rotated ground-plane rectangles."""
+    return float(bev_intersection_matrix([a], [b])[0, 0])
 
 
 def rotated_bev_iou(a, b):
@@ -225,27 +275,112 @@ class EvalConfig:
         return thr
 
 
-def _match_image(preds, counted_gt, ignored_gt, iou_fn, threshold):
-    """Greedy score-descending matching for one image and one class."""
-    order = sorted(range(len(preds)), key=lambda i: -preds[i].score)
-    taken = [False] * len(counted_gt)
-    rows = []  # (score, tp, ignored_pred)
-    for i in order:
-        det = preds[i]
+@dataclass
+class PairTable:
+    """Detections and ground truths of one class in one image.
+
+    scores: the P detection scores, descending. difficulties: the G
+    ground-truth difficulty labels. iou: {metric: P rows of G IoUs}, rows
+    and columns in the same orders.
+    """
+
+    scores: list
+    difficulties: list
+    iou: dict
+
+
+def build_pair_tables(predictions, ground_truth, classes):
+    """{class: [PairTable per image of ground_truth, in its order]}.
+
+    predictions: {image_id: [Detection3D]}; ground_truth: {image_id:
+    [LabeledObject]}. Every (detection, ground truth) pair of every image is
+    clipped once, all in one batched pass; predictions for images without
+    ground truth are not evaluated.
+    """
+    tables = {cls: [] for cls in classes}
+    spans = []   # (table, index of its first box, P, G)
+    boxes = []   # per table: its detections, then its ground truths
+    for image_id, objects in ground_truth.items():
+        image_preds = predictions.get(image_id, [])
+        for cls in classes:
+            dets = sorted((d for d in image_preds if d.class_name == cls), key=lambda d: -d.score)
+            gts = [o for o in objects if not o.ignorable and o.class_name == cls]
+            table = PairTable([d.score for d in dets], [assign_difficulty(o) for o in gts], {})
+            tables[cls].append(table)
+            spans.append((table, len(boxes), len(dets), len(gts)))
+            boxes.extend(dets)
+            boxes.extend(detection_from_label(o) for o in gts)
+
+    pair_i, pair_j = [], []
+    for _, first, n_det, n_gt in spans:
+        for p in range(first, first + n_det):
+            pair_i.extend([p] * n_gt)
+            pair_j.extend(range(first + n_det, first + n_det + n_gt))
+    pair_i, pair_j = np.array(pair_i, dtype=np.intp), np.array(pair_j, dtype=np.intp)
+    params = _box_params([bev_box_of(box) for box in boxes])
+    inter = _pair_intersections(params, pair_i, pair_j)
+    vertical = np.array([box.vertical_range() for box in boxes], dtype=np.float64).reshape(-1, 2)
+    area = params[:, 2] * params[:, 3]
+    area_d, area_g = area[pair_i], area[pair_j]
+    (yd0, yd1), (yg0, yg1) = vertical[pair_i].T, vertical[pair_j].T
+    inter_3d = inter * np.maximum(0.0, np.minimum(yd1, yg1) - np.maximum(yd0, yg0))
+    ious = {"bev": _ratio(inter, area_d, area_g).tolist(),
+            "3d": _ratio(inter_3d, area_d * (yd1 - yd0), area_g * (yg1 - yg0)).tolist()}
+
+    start = 0
+    for table, _, n_det, n_gt in spans:
+        table.iou = {metric: [values[start + p * n_gt:start + (p + 1) * n_gt] for p in range(n_det)]
+                     for metric, values in ious.items()}
+        start += n_det * n_gt
+    return tables
+
+
+def _ratio(inter, size_a, size_b):
+    """Intersection over union from the two sizes (areas or volumes); 0 for an empty union."""
+    union = size_a + size_b - inter
+    return np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
+
+
+def _match(table, metric, accepts, threshold):
+    """Greedy score-descending matching in one table.
+
+    Detection-major: each detection in turn takes the best-overlapping
+    untaken ground truth of the bucket. Returns the rows (score, tp,
+    ignored_pred) and the number of ground truths the bucket counts.
+    """
+    counted = [d in accepts for d in table.difficulties]
+    taken = [False] * len(counted)
+    rows = []
+    for score, ious in zip(table.scores, table.iou[metric]):
         best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(counted_gt):
-            if taken[j]:
-                continue
-            iou = iou_fn(det, gt)
-            if iou > best_iou:
+        for j, iou in enumerate(ious):
+            if counted[j] and not taken[j] and iou > best_iou:
                 best_iou, best_j = iou, j
         if best_j >= 0 and best_iou >= threshold:
             taken[best_j] = True
-            rows.append((det.score, 1, 0))
+            rows.append((score, 1, 0))
             continue
-        absorbed = any(iou_fn(det, gt) >= threshold for gt in ignored_gt)
-        rows.append((det.score, 0, 1 if absorbed else 0))
-    return rows, sum(taken)
+        absorbed = any(iou >= threshold for iou, c in zip(ious, counted) if not c)
+        rows.append((score, 0, 1 if absorbed else 0))
+    return rows, sum(counted)
+
+
+def _bucket_ap(tables, config, metric, difficulty, class_name):
+    """AP of one (metric, bucket, class) over that class's tables; None without ground truth."""
+    if difficulty not in _BUCKET_ACCEPTS:
+        raise DomainError(f"unknown difficulty {difficulty!r}")
+    threshold = config.threshold_for(class_name)
+    if metric not in METRICS:
+        raise DomainError(f"unknown metric {metric!r}")
+    all_rows = []
+    n_gt = 0
+    for table in tables:
+        rows, counted = _match(table, metric, _BUCKET_ACCEPTS[difficulty], threshold)
+        all_rows.extend(rows)
+        n_gt += counted
+    if n_gt == 0:
+        return None
+    return _ap_from_rows(all_rows, n_gt, config.recall_points)
 
 
 def average_precision_40(predictions, ground_truth, config=None, metric="3d",
@@ -256,39 +391,8 @@ def average_precision_40(predictions, ground_truth, config=None, metric="3d",
     [LabeledObject]}. Returns None when the bucket holds no ground truth.
     """
     config = config or EvalConfig()
-    if difficulty not in _BUCKET_ACCEPTS:
-        raise DomainError(f"unknown difficulty {difficulty!r}")
-    accepts = _BUCKET_ACCEPTS[difficulty]
-    threshold = config.threshold_for(class_name)
-    if metric == "3d":
-        iou_fn = lambda det, gt: iou_3d(det, gt)
-    elif metric == "bev":
-        iou_fn = lambda det, gt: rotated_bev_iou(det, gt)
-    else:
-        raise DomainError(f"unknown metric {metric!r}")
-
-    all_rows = []
-    n_gt = 0
-    for image_id, gts in ground_truth.items():
-        counted, ignored = [], []
-        for obj in gts:
-            if obj.ignorable:
-                continue
-            if obj.class_name != class_name:
-                continue
-            det = detection_from_label(obj)
-            if assign_difficulty(obj) in accepts:
-                counted.append(det)
-            else:
-                ignored.append(det)
-        preds = [d for d in predictions.get(image_id, []) if d.class_name == class_name]
-        rows, _ = _match_image(preds, counted, ignored, iou_fn, threshold)
-        all_rows.extend(rows)
-        n_gt += len(counted)
-
-    if n_gt == 0:
-        return None
-    return _ap_from_rows(all_rows, n_gt, config.recall_points)
+    tables = build_pair_tables(predictions, ground_truth, (class_name,))[class_name]
+    return _bucket_ap(tables, config, metric, difficulty, class_name)
 
 
 def _ap_from_rows(rows, n_gt, recall_points=40):
@@ -308,14 +412,17 @@ def _ap_from_rows(rows, n_gt, recall_points=40):
 
 
 def evaluate_all(predictions, ground_truth, config=None):
-    """AP table over classes x difficulties x {3d, bev}, values in percent."""
+    """AP table over classes x difficulties x {3d, bev}, values in percent.
+
+    The pair tables are built once and shared by all the buckets.
+    """
     config = config or EvalConfig()
+    tables = build_pair_tables(predictions, ground_truth, config.classes)
     results = {}
-    for metric in ("3d", "bev"):
+    for metric in METRICS:
         for cls in config.classes:
             for diff in config.difficulties:
-                ap = average_precision_40(predictions, ground_truth, config,
-                                          metric=metric, difficulty=diff, class_name=cls)
+                ap = _bucket_ap(tables[cls], config, metric, diff, cls)
                 results[(metric, cls, diff)] = None if ap is None else 100.0 * ap
     return results
 
@@ -325,7 +432,7 @@ def format_report(results, config=None):
     config = config or EvalConfig()
     lines = []
     kv = []
-    for metric in ("3d", "bev"):
+    for metric in METRICS:
         lines.append(f"AP40 ({metric.upper()}, percent)")
         header = f"{'class':<12}" + "".join(f"{d:>10}" for d in config.difficulties)
         lines.append(header)

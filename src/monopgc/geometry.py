@@ -102,13 +102,6 @@ def lid_bin_to_depth(spec: DepthBinSpec, i) -> float:
     return spec.d_min + (spec.d_max - spec.d_min) / (d * (d + 1)) * i * (i + 1)
 
 
-def lid_bin_center(spec: DepthBinSpec, i) -> float:
-    """Midpoint of interval i, for i in [0, bins-1]."""
-    if not 0 <= i < spec.bins:
-        raise DomainError(f"interval index {i} outside [0, {spec.bins - 1}]")
-    return 0.5 * (lid_bin_to_depth(spec, i) + lid_bin_to_depth(spec, i + 1))
-
-
 def lid_edges(spec: DepthBinSpec) -> np.ndarray:
     i = np.arange(spec.bins + 1, dtype=np.float64)
     return spec.d_min + (spec.d_max - spec.d_min) / (spec.bins * (spec.bins + 1)) * i * (i + 1)
@@ -258,3 +251,12 @@ def rotation_y(angle):
     """3x3 rotation about the vertical (camera y) axis."""
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def _wrap_angle(a):
+    """Angle in (-pi, pi]."""
+    while a <= -math.pi:
+        a += 2 * math.pi
+    while a > math.pi:
+        a -= 2 * math.pi
+    return a

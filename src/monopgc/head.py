@@ -19,6 +19,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DimensionError, DomainError
+from .geometry import _wrap_angle
 from .numerics import Tensor
 
 DEFAULT_CLASSES = ("Car", "Pedestrian", "Cyclist")
@@ -67,14 +68,6 @@ class Detection3D:
         y = self.location[1]
         h = self.dimensions[0]
         return (y - h / 2.0, y + h / 2.0)
-
-
-def _wrap_angle(a):
-    while a <= -math.pi:
-        a += 2 * math.pi
-    while a > math.pi:
-        a -= 2 * math.pi
-    return a
 
 
 # -- parameters and forward -------------------------------------------------------

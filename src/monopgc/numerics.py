@@ -15,27 +15,14 @@ shape mismatch raises DimensionError.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EvaluationError
+from .errors import DimensionError, EvaluationError
 
 _MODE = "run"
 _DTYPES = {"run": np.float32, "check": np.float64}
-
-
-def set_mode(mode):
-    """Select the global float width: "run" (float32) or "check" (float64)."""
-    global _MODE
-    if mode not in _DTYPES:
-        raise DomainError(f"unknown mode {mode!r}, expected 'run' or 'check'")
-    _MODE = mode
-
-
-def get_mode():
-    return _MODE
 
 
 def current_dtype():
@@ -668,16 +655,3 @@ def gradient_check(f, x, epsilon=1e-4, sample=None, rng=None):
             denom = max(abs(analytic[i]), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic[i] - numeric) / denom)
         return worst
-
-
-def check_all_finite(params):
-    """Return names of parameter tensors containing NaN/Inf."""
-    bad = []
-    for name, t in params.items():
-        if not np.isfinite(t.data).all():
-            bad.append(name)
-    return bad
-
-
-def warn_once(message):
-    warnings.warn(message, stacklevel=3)

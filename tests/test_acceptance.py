@@ -268,6 +268,7 @@ def test_criterion_7_ap40_correctness():
 # -- 8. overfit study ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_overfit_study():
     start = time.time()
     result, _ = train(OVERFIT_CFG)
@@ -305,6 +306,7 @@ ABLATION_VARIANTS = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_9_ablation_direction():
     aps = {}
     shared_samples = None

@@ -53,6 +53,17 @@ class TestTrainCommand:
         cfg.write_text("run.mode=kitti\n")
         assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
 
+    def test_kitti_labels_without_calib_exit_2(self, tmp_path, capsys):
+        scene = data.generate_synthetic_scene(3)
+        dirs = {name: tmp_path / name for name in ("image", "label", "calib")}
+        data.scene_to_files(scene, "000003", dirs["image"], dirs["label"], dirs["calib"])
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"run.mode=kitti\ndata.image_dir={dirs['image']}\n"
+                       f"data.label_dir={dirs['label']}\noptim.steps=1\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "data.calib_dir" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_inconsistent_toggles_exit_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL_CFG.replace("model.pe=ape", "model.pe=dgpe"))

@@ -94,6 +94,24 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded["params"]["s"].reshape(()) == np.float32(3.5)
 
+    def test_zero_d_extra_array_round_trips(self, tmp_path):
+        extra = {"t": np.array(7.0), "v": np.array([7.0])}
+        path = tmp_path / "z.ckpt"
+        save_checkpoint(path, {}, extra_arrays=extra)
+        loaded = load_checkpoint(path)["extra"]
+        assert loaded["t"].shape == () and loaded["t"] == 7.0
+        assert loaded["v"].shape == (1,)
+
+    def test_reads_scalar_written_as_shape_1(self, tmp_path):
+        # older files stored a 0-d array with the manifest shape "1"
+        raw = np.array(2.5, dtype="<f8").tobytes()
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(("MONOPGC-CKPT 1\nmeta step 3\nmeta config_hash \n"
+                          f"tensor t f8 1 0 {len(raw)}\nPAYLOAD {len(raw)}\n").encode() + raw)
+        loaded = load_checkpoint(path)
+        assert loaded["meta"]["step"] == 3
+        np.testing.assert_array_equal(loaded["extra"]["t"], [2.5])
+
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"not a checkpoint")
