@@ -54,5 +54,5 @@ for name, preds in scenarios.items():
 
 print("\nfull report on the perfect case:")
 results = ev.evaluate_all({"img": perfect}, gts, cfg)
-table, kv = ev.format_report(results, cfg)
+table, kv = ev.format_report(results)
 print(table)

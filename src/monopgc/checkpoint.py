@@ -9,6 +9,7 @@ outputs to the bit.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -61,36 +62,50 @@ def save_checkpoint(path, params, step=0, config_hash="", extra_arrays=None, met
 def load_checkpoint(path):
     """Read a checkpoint into {'params': {...}, 'extra': {...}, 'meta': {...}}."""
     blob = Path(path).read_bytes()
-    marker = blob.find(b"PAYLOAD ")
-    if not blob.startswith(MAGIC.encode()) or marker < 0:
+    marker = blob.find(b"\nPAYLOAD ")
+    header_end = blob.find(b"\n", marker + 1)
+    if not blob.startswith(MAGIC.encode()) or marker < 0 or header_end < 0:
         raise FormatError(f"{path} is not a checkpoint container")
-    header_end = blob.index(b"\n", marker)
-    header = blob[:header_end].decode("ascii").splitlines()
+    try:
+        header = blob[:marker].decode("ascii").splitlines()
+        declared = int(blob[marker + len(b"\nPAYLOAD "):header_end])
+    except ValueError:
+        raise FormatError(f"{path}: manifest is not ASCII or its PAYLOAD count does not parse") from None
     payload = blob[header_end + 1:]
-    declared = int(header[-1].split()[1])
     if len(payload) != declared:
         raise FormatError(f"payload length {len(payload)} != declared {declared}")
 
     meta = {}
     params = {}
     extra = {}
-    for line in header[1:-1]:
-        kind, rest = line.split(" ", 1)
+    for line in header[1:]:
+        kind, _, rest = line.partition(" ")
         if kind == "meta":
             key, _, value = rest.partition(" ")
             meta[key] = value
         elif kind == "tensor":
-            name, code, shape_s, offset_s, nbytes_s = rest.split(" ")
+            try:
+                name, code, shape_s, offset_s, nbytes_s = rest.split(" ")
+                shape = () if shape_s == SCALAR_SHAPE else tuple(int(s) for s in shape_s.split(","))
+                offset, nbytes = int(offset_s), int(nbytes_s)
+            except ValueError:
+                raise FormatError(f"malformed tensor line {line!r}") from None
             if code not in _DTYPES:
                 raise FormatError(f"unknown dtype code {code!r}")
-            shape = () if shape_s == SCALAR_SHAPE else tuple(int(s) for s in shape_s.split(","))
-            offset, nbytes = int(offset_s), int(nbytes_s)
-            arr = np.frombuffer(payload[offset:offset + nbytes], dtype=_DTYPES[code]).reshape(shape)
+            dtype = np.dtype(_DTYPES[code])
+            if (min(shape + (offset,)) < 0 or nbytes != math.prod(shape) * dtype.itemsize
+                    or offset + nbytes > len(payload)):
+                raise FormatError(f"tensor {name}: shape {shape_s} does not match "
+                                  f"{nbytes} bytes at offset {offset} of a {len(payload)}-byte payload")
+            arr = np.frombuffer(payload[offset:offset + nbytes], dtype=dtype).reshape(shape)
             if name.startswith("param:"):
                 params[name[len("param:"):]] = arr
             else:
                 extra[name] = arr
         else:
             raise FormatError(f"unknown manifest line {line!r}")
-    meta["step"] = int(meta.get("step", 0))
+    try:
+        meta["step"] = int(meta.get("step", 0))
+    except ValueError:
+        raise FormatError(f"meta step {meta['step']!r} is not an integer") from None
     return {"params": params, "extra": extra, "meta": meta}

@@ -94,6 +94,7 @@ def cmd_train(args):
         if cfg.label_dir and not cfg.calib_dir:
             raise ConfigError("kitti mode with data.label_dir needs data.calib_dir: "
                               "training targets are the labels projected through the calibration")
+    samples = _load_kitti_samples(cfg) if cfg.mode == "kitti" else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -105,11 +106,7 @@ def cmd_train(args):
         print(line)
 
     try:
-        if cfg.mode == "kitti":
-            samples = _load_kitti_samples(cfg)
-            result, optimizer = train(cfg, samples=samples, log_fn=log)
-        else:
-            result, optimizer = train(cfg, log_fn=log)
+        result, optimizer = train(cfg, samples=samples, log_fn=log)
     except TrainingAborted as exc:
         dump = out_dir / "nan_dump.txt"
         dump.write_text(exc.diagnostics + "\n")
@@ -127,12 +124,24 @@ def cmd_train(args):
     return EXIT_OK
 
 
+def _check_image_size(cfg, path, image):
+    """The model is built for one input size; another one fails deep inside it."""
+    if image.shape[1:] != cfg.image_hw:
+        h, w = image.shape[1:]
+        raise ConfigError(f"{path} is {h}x{w} (height x width), but data.image_height x "
+                          f"data.image_width is {cfg.image_height}x{cfg.image_width}")
+
+
 def _load_kitti_samples(cfg):
     from .data import load_kitti_sample
 
-    stems = sorted(p.stem for p in Path(cfg.image_dir).glob("*.ppm"))
-    return [load_kitti_sample(stem, cfg.image_dir, cfg.label_dir or None,
-                              cfg.calib_dir or None) for stem in stems]
+    samples = []
+    for stem in sorted(p.stem for p in Path(cfg.image_dir).glob("*.ppm")):
+        sample = load_kitti_sample(stem, cfg.image_dir, cfg.label_dir or None,
+                                   cfg.calib_dir or None)
+        _check_image_size(cfg, Path(cfg.image_dir) / f"{stem}.ppm", sample.image)
+        samples.append(sample)
+    return samples
 
 
 def cmd_infer(args):
@@ -157,6 +166,7 @@ def cmd_infer(args):
 
     for path in images:
         image = load_image(path)
+        _check_image_size(cfg, path, image)
         if args.calib_dir:
             calib = read_calib_file(Path(args.calib_dir) / f"{path.stem}.txt")
         else:

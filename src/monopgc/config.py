@@ -58,7 +58,6 @@ class RunConfig:
     batch_size: int = 4
     epochs: int = 100
     steps: int = 0                     # >0 overrides the epoch-derived count
-    checkpoint_every: int = 0          # 0: only final
     # loss weights (total = d*depth + c*cls + r*reg)
     lambda_depth: float = 1.0
     lambda_cls: float = 1.0
@@ -185,7 +184,6 @@ KEYMAP = {
     "optim.batch_size": ("batch_size", int),
     "optim.epochs": ("epochs", int),
     "optim.steps": ("steps", int),
-    "optim.checkpoint_every": ("checkpoint_every", int),
     "loss.lambda_depth": ("lambda_depth", float),
     "loss.lambda_cls": ("lambda_cls", float),
     "loss.lambda_reg": ("lambda_reg", float),

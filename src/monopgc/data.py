@@ -120,13 +120,12 @@ def write_label_file(path, objects, include_score=None):
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
-def parse_kitti_calib(text, use_rectification=False):
+def parse_kitti_calib(text):
     """Build a CameraCalibration from KITTI calib text.
 
     The "P2:" line (12 numbers, row-major 3x4) is embedded into a 4x4
-    intrinsic matrix. The extrinsic defaults to identity: KITTI ground
-    truth lives in the rectified camera frame. With use_rectification,
-    an "R0_rect:" line (9 numbers) populates the extrinsic instead.
+    intrinsic matrix. The extrinsic is the identity: KITTI ground truth
+    lives in the rectified camera frame.
     """
     entries = {}
     for line in text.splitlines():
@@ -144,17 +143,11 @@ def parse_kitti_calib(text, use_rectification=False):
         raise ParseError(f"P2 must carry 12 numbers, got {len(vals)}")
     k_i = np.eye(4)
     k_i[:3, :] = np.asarray(vals).reshape(3, 4)
-    k_e = np.eye(4)
-    if use_rectification and "R0_rect" in entries:
-        rect = entries["R0_rect"]
-        if len(rect) != 9:
-            raise ParseError(f"R0_rect must carry 9 numbers, got {len(rect)}")
-        k_e[:3, :3] = np.asarray(rect).reshape(3, 3)
-    return CameraCalibration(k_i, k_e)
+    return CameraCalibration(k_i, np.eye(4))
 
 
-def read_calib_file(path, use_rectification=False):
-    return parse_kitti_calib(Path(path).read_text(), use_rectification)
+def read_calib_file(path):
+    return parse_kitti_calib(Path(path).read_text())
 
 
 def format_kitti_calib(calib):

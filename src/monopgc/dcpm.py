@@ -106,7 +106,8 @@ def pyramid_pool(top, params, scales=PPM_SCALES):
 
     Each scale pools the map to s x s, projects to C/4 channels, and resizes
     back bilinearly; the branches are concatenated with the input and
-    projected back to C channels. Constants pass through unchanged.
+    projected back to C channels. A spatially constant map stays spatially
+    constant, up to rounding.
     """
     c, h, w = top.shape
     if h < max(scales) or w < max(scales):

@@ -33,6 +33,10 @@ from .head import detection_from_label
 
 DIFFICULTIES = ("easy", "moderate", "hard")
 METRICS = ("3d", "bev")
+# the classes evaluate_all and format_report cover
+CLASSES = ("Car", "Pedestrian", "Cyclist")
+RECALL_POINTS = 40
+DEFAULT_IOU_THRESHOLD = 0.5
 
 # KITTI-convention gates: min 2D box height, max occlusion, max truncation
 DIFFICULTY_RULES = {
@@ -255,6 +259,7 @@ _BUCKET_ACCEPTS = {
     "hard": ("easy", "moderate", "hard"),
     "overall": ("easy", "moderate", "hard", "ignored"),
 }
+BUCKETS = tuple(_BUCKET_ACCEPTS)
 
 
 # -- AP40 ---------------------------------------------------------------------------------
@@ -263,13 +268,9 @@ _BUCKET_ACCEPTS = {
 @dataclass
 class EvalConfig:
     iou_thresholds: dict = field(default_factory=lambda: {"Car": 0.7, "Pedestrian": 0.5, "Cyclist": 0.5})
-    default_threshold: float = 0.5
-    recall_points: int = 40
-    classes: tuple = ("Car", "Pedestrian", "Cyclist")
-    difficulties: tuple = ("easy", "moderate", "hard", "overall")
 
     def threshold_for(self, class_name):
-        thr = self.iou_thresholds.get(class_name, self.default_threshold)
+        thr = self.iou_thresholds.get(class_name, DEFAULT_IOU_THRESHOLD)
         if not 0 < thr <= 1:
             raise DomainError(f"IoU threshold for {class_name} must be in (0,1], got {thr}")
         return thr
@@ -380,7 +381,7 @@ def _bucket_ap(tables, config, metric, difficulty, class_name):
         n_gt += counted
     if n_gt == 0:
         return None
-    return _ap_from_rows(all_rows, n_gt, config.recall_points)
+    return _ap_from_rows(all_rows, n_gt)
 
 
 def average_precision_40(predictions, ground_truth, config=None, metric="3d",
@@ -395,7 +396,7 @@ def average_precision_40(predictions, ground_truth, config=None, metric="3d",
     return _bucket_ap(tables, config, metric, difficulty, class_name)
 
 
-def _ap_from_rows(rows, n_gt, recall_points=40):
+def _ap_from_rows(rows, n_gt):
     rows = sorted((r for r in rows if not r[2]), key=lambda r: -r[0])
     if not rows:
         return 0.0
@@ -404,11 +405,11 @@ def _ap_from_rows(rows, n_gt, recall_points=40):
     recalls = tps / n_gt
     precisions = tps / np.maximum(tps + fps, 1)
     total = 0.0
-    for k in range(1, recall_points + 1):
-        r = k / recall_points
+    for k in range(1, RECALL_POINTS + 1):
+        r = k / RECALL_POINTS
         reachable = precisions[recalls >= r - 1e-12]
         total += float(reachable.max()) if reachable.size else 0.0
-    return total / recall_points
+    return total / RECALL_POINTS
 
 
 def evaluate_all(predictions, ground_truth, config=None):
@@ -417,28 +418,27 @@ def evaluate_all(predictions, ground_truth, config=None):
     The pair tables are built once and shared by all the buckets.
     """
     config = config or EvalConfig()
-    tables = build_pair_tables(predictions, ground_truth, config.classes)
+    tables = build_pair_tables(predictions, ground_truth, CLASSES)
     results = {}
     for metric in METRICS:
-        for cls in config.classes:
-            for diff in config.difficulties:
+        for cls in CLASSES:
+            for diff in BUCKETS:
                 ap = _bucket_ap(tables[cls], config, metric, diff, cls)
                 results[(metric, cls, diff)] = None if ap is None else 100.0 * ap
     return results
 
 
-def format_report(results, config=None):
+def format_report(results):
     """Plain-text table plus machine-readable key=value lines."""
-    config = config or EvalConfig()
     lines = []
     kv = []
     for metric in METRICS:
         lines.append(f"AP40 ({metric.upper()}, percent)")
-        header = f"{'class':<12}" + "".join(f"{d:>10}" for d in config.difficulties)
+        header = f"{'class':<12}" + "".join(f"{d:>10}" for d in BUCKETS)
         lines.append(header)
-        for cls in config.classes:
+        for cls in CLASSES:
             row = f"{cls:<12}"
-            for diff in config.difficulties:
+            for diff in BUCKETS:
                 val = results.get((metric, cls, diff))
                 row += f"{'n/a':>10}" if val is None else f"{val:>10.2f}"
                 key = f"ap{metric}.{cls}.{diff}"

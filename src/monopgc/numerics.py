@@ -9,6 +9,10 @@ sum/mean reductions, bilinear resize, max/avg pooling, concatenation,
 reshape and transpose. Everything else in the package composes from
 these (subtraction and division are provided as compositions).
 
+Bilinear resize and adaptive average pooling are the same separable
+linear map, out[c] = Wy @ x[c] @ Wx^T, with the vjp Wy^T @ g @ Wx; each
+kernel only builds its two 1-d weight matrices.
+
 Broadcasting is restricted to python-scalar against tensor; any other
 shape mismatch raises DimensionError.
 """
@@ -98,20 +102,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_scalar(self)
-
-    def numpy(self):
-        return self.data
-
-    def detach(self):
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._vjp = None
-        out._op = "detach"
-        out._backward_done = False
-        return out
 
     def is_finite(self):
         return bool(np.isfinite(self.data).all())
@@ -478,10 +468,20 @@ def max_pool2d(x, size=2):
     return Tensor._result(out, (x,), vjp, "max_pool2d")
 
 
-def _pool_bins(n_in, n_out):
-    starts = (np.arange(n_out) * n_in) // n_out
-    ends = -(-(np.arange(1, n_out + 1) * n_in) // n_out)  # ceil division
-    return starts, ends
+def _separable(x, wy, wx, op):
+    """out[c] = wy @ x[c] @ wx.T as one tape node; the vjp is wy.T @ g @ wx."""
+    out = wy @ x.data @ wx.T
+    return Tensor._result(out, (x,), lambda g: (wy.T @ g @ wx,), op)
+
+
+def _pool_matrix(n_in, n_out, dtype):
+    # row i averages the torch bin [floor(i*n_in/n_out), ceil((i+1)*n_in/n_out))
+    i = np.arange(n_out)[:, None]
+    start = (i * n_in) // n_out
+    end = -(-((i + 1) * n_in) // n_out)  # ceil division
+    j = np.arange(n_in)
+    inside = (j >= start) & (j < end)
+    return (inside / (end - start)).astype(dtype)
 
 
 def adaptive_avg_pool2d(x, out_hw):
@@ -490,69 +490,43 @@ def adaptive_avg_pool2d(x, out_hw):
     if x.ndim != 3:
         raise DimensionError(f"adaptive_avg_pool2d: expected [C,H,W], got {x.shape}")
     oh, ow = out_hw
-    C, H, W = x.shape
+    _, H, W = x.shape
     if oh > H or ow > W:
         raise DimensionError(f"adaptive_avg_pool2d: output {oh}x{ow} exceeds input {H}x{W}")
-    ys, ye = _pool_bins(H, oh)
-    xs, xe = _pool_bins(W, ow)
-    out = np.zeros((C, oh, ow), dtype=x.data.dtype)
-    for i in range(oh):
-        rows = x.data[:, ys[i]:ye[i], :]
-        for j in range(ow):
-            out[:, i, j] = rows[:, :, xs[j]:xe[j]].mean(axis=(1, 2))
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        for i in range(oh):
-            for j in range(ow):
-                area = (ye[i] - ys[i]) * (xe[j] - xs[j])
-                gx[:, ys[i]:ye[i], xs[j]:xe[j]] += g[:, i, j][:, None, None] / area
-        return (gx,)
-
-    return Tensor._result(out, (x,), vjp, "adaptive_avg_pool2d")
+    dtype = x.data.dtype
+    return _separable(x, _pool_matrix(H, oh, dtype), _pool_matrix(W, ow, dtype),
+                      "adaptive_avg_pool2d")
 
 
-def _bilinear_coeffs(n_in, n_out, dtype):
+def _resize_matrix(n_in, n_out, dtype):
     # Half-pixel-center sampling; source coordinates clamp at the borders.
     coords = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     coords = np.clip(coords, 0.0, n_in - 1.0)
     lo = np.floor(coords).astype(np.int64)
     hi = np.minimum(lo + 1, n_in - 1)
     frac = (coords - lo).astype(dtype)
-    return lo, hi, frac
+    rows = np.arange(n_out)
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    m[rows, lo] = 1 - frac
+    m[rows, hi] += frac  # hi == lo at the far border, where frac is 0
+    return m
 
 
 def bilinear_resize(x, out_hw):
-    """Bilinear interpolation to (H, W); constants are preserved exactly."""
+    """Bilinear interpolation to (H, W) with half-pixel centres.
+
+    Output row i reads source coordinate (i + 0.5) * H_in / H - 0.5, clamped
+    to [0, H_in - 1], and mixes rows floor(coord) and the next one (the same
+    row at the far border) with weights 1 - frac and frac; columns alike.
+    """
     x = as_tensor(x)
     if x.ndim != 3:
         raise DimensionError(f"bilinear_resize: expected [C,H,W], got {x.shape}")
     oh, ow = out_hw
-    C, H, W = x.shape
-    y0, y1, fy = _bilinear_coeffs(H, oh, x.data.dtype)
-    x0, x1, fx = _bilinear_coeffs(W, ow, x.data.dtype)
-    wy0, wy1 = (1.0 - fy)[:, None], fy[:, None]
-    wx0, wx1 = (1.0 - fx)[None, :], fx[None, :]
-
-    d = x.data
-    out = (d[:, y0][:, :, x0] * (wy0 * wx0) + d[:, y0][:, :, x1] * (wy0 * wx1)
-           + d[:, y1][:, :, x0] * (wy1 * wx0) + d[:, y1][:, :, x1] * (wy1 * wx1))
-    out = out.astype(d.dtype)
-
-    def vjp(g):
-        gx = np.zeros_like(d)
-        yy0 = np.repeat(y0, ow)
-        yy1 = np.repeat(y1, ow)
-        xx0 = np.tile(x0, oh)
-        xx1 = np.tile(x1, oh)
-        gflat = g.reshape(C, -1)
-        for (yy, xx, wgt) in ((yy0, xx0, (wy0 * wx0)), (yy0, xx1, (wy0 * wx1)),
-                              (yy1, xx0, (wy1 * wx0)), (yy1, xx1, (wy1 * wx1))):
-            contrib = gflat * wgt.reshape(-1)[None, :]
-            np.add.at(gx, (slice(None), yy, xx), contrib)
-        return (gx,)
-
-    return Tensor._result(out, (x,), vjp, "bilinear_resize")
+    _, H, W = x.shape
+    dtype = x.data.dtype
+    return _separable(x, _resize_matrix(H, oh, dtype), _resize_matrix(W, ow, dtype),
+                      "bilinear_resize")
 
 
 # -- shape ops -------------------------------------------------------------------

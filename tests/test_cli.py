@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from monopgc import cli, data
-from monopgc.checkpoint import load_checkpoint
+from monopgc.checkpoint import load_checkpoint, save_checkpoint
+from monopgc.config import load_config
+from monopgc.pipeline import MonoPGCModel
 
 
 def run_cli(*argv):
@@ -64,6 +66,19 @@ class TestTrainCommand:
         assert "data.calib_dir" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_kitti_image_size_mismatch_exit_2(self, tmp_path, capsys):
+        scene = data.generate_synthetic_scene(3, data.SceneConfig(image_size=(64, 64)))
+        dirs = {name: tmp_path / name for name in ("image", "label", "calib")}
+        data.scene_to_files(scene, "000003", dirs["image"], dirs["label"], dirs["calib"])
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"run.mode=kitti\ndata.image_dir={dirs['image']}\n"
+                       f"data.label_dir={dirs['label']}\ndata.calib_dir={dirs['calib']}\n"
+                       "optim.steps=1\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert "000003.ppm is 64x64" in err and "96x96" in err
+        assert not (tmp_path / "o").exists()
+
     def test_inconsistent_toggles_exit_2(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SMALL_CFG.replace("model.pe=ape", "model.pe=dgpe"))
@@ -92,6 +107,27 @@ class TestInferCommand:
         code = run_cli("infer", "--config", str(other), "--checkpoint", str(ckpt),
                        "--image-dir", str(tmp_path), "--out", str(tmp_path / "p"))
         assert code == 2
+
+    def test_malformed_checkpoint_exits_2(self, tmp_path, small_cfg_file, capsys):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(b"MONOPGC-CKPT 1\nmeta step 0\ntensor param:w f8 x 0 8\nPAYLOAD 8\n"
+                         + bytes(8))
+        code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(ckpt),
+                       "--image-dir", str(tmp_path), "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert "malformed tensor line" in capsys.readouterr().err
+
+    def test_image_size_mismatch_exits_2(self, tmp_path, small_cfg_file, capsys):
+        cfg = load_config(small_cfg_file)
+        ckpt = tmp_path / "init.ckpt"
+        save_checkpoint(ckpt, MonoPGCModel(cfg).parameters(), config_hash=cfg.model_hash())
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        data.save_image(imgs / "000000.ppm", np.zeros((3, 32, 64)))
+        code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(ckpt),
+                       "--image-dir", str(imgs), "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert "000000.ppm is 32x64" in capsys.readouterr().err
 
     def test_infer_writes_deterministic_predictions(self, tmp_path, small_cfg_file):
         ckpt = self._trained(tmp_path, small_cfg_file)

@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("nope.nope=1")
 
+    def test_removed_checkpoint_every_is_unknown(self):
+        # config.txt files written before the key was removed carry this line
+        with pytest.raises(ConfigError, match="unknown key 'optim.checkpoint_every'"):
+            parse_config_text("optim.checkpoint_every=0")
+
     def test_bad_value(self):
         with pytest.raises(ConfigError):
             parse_config_text("depth.bins=many")
@@ -115,6 +120,24 @@ class TestCheckpoint:
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"not a checkpoint")
+        with pytest.raises(FormatError):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("good, bad", [
+        pytest.param(b" f8 3 0 24\n", b" f8 x 0 24\n", id="shape-token"),
+        pytest.param(b" f8 3 0 24\n", b" f8 2 0 24\n", id="shape-vs-bytes"),
+        pytest.param(b" f8 3 0 24\n", b" f8 3 0 2x\n", id="length-token"),
+        pytest.param(b" f8 3 0 24\n", b" f8 3 8 24\n", id="past-payload"),
+        pytest.param(b" f8 3 0 24\n", b" f8 3 0\n", id="missing-field"),
+        pytest.param(b"PAYLOAD 24\n", b"PAYLOAD zz\n", id="payload-count"),
+        pytest.param(b"meta step 0\n", b"meta step two\n", id="step"),
+    ])
+    def test_malformed_manifest_is_format_error(self, tmp_path, good, bad):
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, {}, extra_arrays={"a": np.arange(3.0)})
+        blob = p.read_bytes()
+        assert blob.count(good) == 1
+        p.write_bytes(blob.replace(good, bad))
         with pytest.raises(FormatError):
             load_checkpoint(p)
 

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monopgc import numerics as nm
 from monopgc.errors import DimensionError, EvaluationError
@@ -112,6 +115,78 @@ class TestSoftmax:
             out = nm.softmax(x, axis=axis)
             np.testing.assert_allclose(out.data.sum(axis=axis), 1.0, atol=1e-6)
             assert (out.data > 0).all()
+
+
+def pool_reference(x, out_hw):
+    # one output pixel at a time: the mean of its torch bin
+    _, h, w = x.shape
+    oh, ow = out_hw
+    out = np.zeros((x.shape[0], oh, ow))
+    for i in range(oh):
+        for j in range(ow):
+            rows = slice(i * h // oh, math.ceil((i + 1) * h / oh))
+            cols = slice(j * w // ow, math.ceil((j + 1) * w / ow))
+            out[:, i, j] = x[:, rows, cols].mean(axis=(1, 2))
+    return out
+
+
+def resize_reference(x, out_hw):
+    # one output pixel at a time: the four half-pixel-centre taps, clamped
+    def taps(i, n_in, n_out):
+        coord = min(max((i + 0.5) * n_in / n_out - 0.5, 0.0), n_in - 1.0)
+        lo = math.floor(coord)
+        return lo, min(lo + 1, n_in - 1), coord - lo
+
+    _, h, w = x.shape
+    oh, ow = out_hw
+    out = np.zeros((x.shape[0], oh, ow))
+    for i in range(oh):
+        y0, y1, fy = taps(i, h, oh)
+        for j in range(ow):
+            x0, x1, fx = taps(j, w, ow)
+            out[:, i, j] = ((1 - fy) * ((1 - fx) * x[:, y0, x0] + fx * x[:, y0, x1])
+                            + fy * ((1 - fx) * x[:, y1, x0] + fx * x[:, y1, x1]))
+    return out
+
+
+class TestResampling:
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(["pool", "resize"]), c=st.integers(1, 3),
+           h=st.integers(1, 13), w=st.integers(1, 13),
+           out_h=st.integers(1, 26), out_w=st.integers(1, 26), seed=st.integers(0, 2**32 - 1))
+    @example(kind="pool", c=2, h=7, w=5, out_h=3, out_w=2, seed=0)      # overlapping uneven bins
+    @example(kind="resize", c=1, h=3, w=5, out_h=11, out_w=13, seed=1)  # up
+    @example(kind="resize", c=1, h=11, w=13, out_h=3, out_w=5, seed=2)  # down
+    def test_matches_per_pixel_reference_and_vjp_is_adjoint(self, kind, c, h, w, out_h, out_w, seed):
+        if kind == "pool":
+            out_h, out_w = min(out_h, h), min(out_w, w)
+            kernel, reference = nm.adaptive_avg_pool2d, pool_reference
+        else:
+            kernel, reference = nm.bilinear_resize, resize_reference
+        rng = np.random.default_rng(seed)
+        x_np = rng.standard_normal((c, h, w))
+        g_np = rng.standard_normal((c, out_h, out_w))
+        with nm.check_mode():
+            x = Tensor(x_np, requires_grad=True)
+            y = kernel(x, (out_h, out_w))
+            (y * Tensor(g_np)).sum().backward()
+        assert y.shape == (c, out_h, out_w)
+        np.testing.assert_allclose(y.data, reference(x_np, (out_h, out_w)), rtol=0, atol=1e-12)
+        # <A x, g> == <x, A^T g>
+        assert np.sum(y.data * g_np) == pytest.approx(np.sum(x_np * x.grad), rel=0, abs=1e-12)
+
+    def test_one_tape_node_per_call(self):
+        x = Tensor(np.ones((2, 6, 6)), requires_grad=True)
+        for y, op in ((nm.adaptive_avg_pool2d(x, (3, 2)), "adaptive_avg_pool2d"),
+                      (nm.bilinear_resize(x, (9, 4)), "bilinear_resize")):
+            assert y._op == op and y._parents == (x,)
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            nm.adaptive_avg_pool2d(Tensor(np.ones((2, 4, 4))), (5, 2))
+        for kernel in (nm.adaptive_avg_pool2d, nm.bilinear_resize):
+            with pytest.raises(DimensionError):
+                kernel(Tensor(np.ones((4, 4))), (2, 2))
 
 
 class TestGradientCheck:
