@@ -154,8 +154,6 @@ def cmd_infer(args):
     model = MonoPGCModel(cfg)
     model.load_state(loaded["params"])
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     images = sorted(Path(args.image_dir).glob("*.ppm"))
     if not images:
         print("warning: no .ppm images found, nothing to do", file=sys.stderr)
@@ -164,6 +162,8 @@ def cmd_infer(args):
     from .data import Sample, read_calib_file
     from .geometry import CameraCalibration
 
+    # load and check every input first: a bad one must leave no partial output
+    samples = []
     for path in images:
         image = load_image(path)
         _check_image_size(cfg, path, image)
@@ -172,15 +172,19 @@ def cmd_infer(args):
         else:
             h, w = image.shape[1:]
             calib = CameraCalibration.from_pinhole(1.1 * w, 1.1 * w, w / 2.0, h / 2.0)
-        sample = Sample(image=image, calib=calib, stem=path.stem)
+        samples.append(Sample(image=image, calib=calib, stem=path.stem))
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for sample in samples:
         outputs = model.forward(sample)
-        dets = model.decode(outputs, calib)
+        dets = model.decode(outputs, sample.calib)
         labels = []
         for det in dets:
             lbl = detection_to_label(det)
-            lbl.bbox2d = detection_bbox2d(det, calib, image.shape[1:])
+            lbl.bbox2d = detection_bbox2d(det, sample.calib, sample.image.shape[1:])
             labels.append(lbl)
-        write_label_file(out_dir / f"{path.stem}.txt", labels, include_score=True)
+        write_label_file(out_dir / f"{sample.stem}.txt", labels, include_score=True)
     print(f"wrote {len(images)} prediction files to {out_dir}")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, GenerationError, ParseError
+from .errors import ConfigError, FormatError, GenerationError, ParseError
 from .geometry import CameraCalibration, _wrap_angle, rotation_y
 from .numerics import Tensor
 
@@ -147,6 +147,8 @@ def parse_kitti_calib(text):
 
 
 def read_calib_file(path):
+    if not Path(path).is_file():
+        raise ConfigError(f"calibration file {path} does not exist")
     return parse_kitti_calib(Path(path).read_text())
 
 

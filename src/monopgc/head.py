@@ -188,20 +188,6 @@ def render_targets(objects, calib, feature_hw, stride=4, classes=DEFAULT_CLASSES
     return t
 
 
-def maps_from_targets(targets, sharp_score=0.999):
-    """Perfect head maps for the rendered targets (decode round-trip oracle)."""
-    k, h, w = targets["heatmap"].shape
-    heat = np.where(targets["heatmap"] >= 1.0, sharp_score, targets["heatmap"] * 0.3)
-    return HeadMaps(
-        class_heatmap=Tensor(heat),
-        center_offset=Tensor(targets["offset"]),
-        dims_log=Tensor(targets["dims_log"]),
-        yaw_sincos=Tensor(targets["yaw"]),
-        center_depth=Tensor(targets["depth"]),
-        depth_log_b=Tensor(np.zeros((1, h, w))),
-    )
-
-
 # -- losses ------------------------------------------------------------------------------
 
 
@@ -271,11 +257,6 @@ def detection_loss(maps, targets, lambdas=(1.0, 1.0, 1.0), depth_loss=None):
         breakdown["depth"] = 0.0
     breakdown["total"] = total.item()
     return total, breakdown
-
-
-def aleatoric_depth_term(abs_error, log_b):
-    """Closed-form single-pair value |d| e^{-s} + s (reference for tests)."""
-    return abs_error * math.exp(-log_b) + log_b
 
 
 # -- decoding ----------------------------------------------------------------------------

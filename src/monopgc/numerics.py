@@ -9,9 +9,11 @@ sum/mean reductions, bilinear resize, max/avg pooling, concatenation,
 reshape and transpose. Everything else in the package composes from
 these (subtraction and division are provided as compositions).
 
-Bilinear resize and adaptive average pooling are the same separable
-linear map, out[c] = Wy @ x[c] @ Wx^T, with the vjp Wy^T @ g @ Wx; each
-kernel only builds its two 1-d weight matrices.
+conv2d is one GEMM, weight[K, 9C] @ im2col(x)[9C, H*W]; its vjp is two
+GEMMs and a col2im over columns rebuilt from the padded input, never kept
+on the tape. Bilinear resize and adaptive average pooling are the same
+separable linear map, out[c] = Wy @ x[c] @ Wx^T, with the vjp
+Wy^T @ g @ Wx; each kernel only builds its two 1-d weight matrices.
 
 Broadcasting is restricted to python-scalar against tensor; any other
 shape mismatch raises DimensionError.
@@ -22,6 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EvaluationError
 
@@ -105,11 +108,6 @@ class Tensor:
 
     def is_finite(self):
         return bool(np.isfinite(self.data).all())
-
-    def assert_finite(self, what="tensor"):
-        if not self.is_finite():
-            raise EvaluationError(f"{what} contains NaN/Inf")
-        return self
 
     def zero_grad(self):
         self.grad = None
@@ -338,10 +336,17 @@ def matmul(a, b):
     return Tensor._result(data, (a, b), vjp, "matmul")
 
 
+def _im2col(padded, H, W):
+    """[C, H+2, W+2] -> [9C, H*W]; row 9c + 3dy + dx is padded[c, dy:dy+H, dx:dx+W]."""
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # [C, H, W, 3, 3]
+    return windows.transpose(0, 3, 4, 1, 2).reshape(9 * padded.shape[0], H * W)
+
+
 def conv2d(x, weight, bias=None):
     """3x3 cross-correlation with zero padding 1; spatial size is preserved.
 
-    x: [C, H, W]; weight: [K, C, 3, 3]; bias: optional [K].
+    x: [C, H, W]; weight: [K, C, 3, 3]; bias: optional [K]. One GEMM,
+    weight[K, 9C] @ im2col(x)[9C, H*W]; the vjp is two GEMMs and a col2im.
     """
     x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 3 or weight.ndim != 4:
@@ -357,27 +362,21 @@ def conv2d(x, weight, bias=None):
 
     C, H, W = x.shape
     K = weight.shape[0]
-    xd, wd = x.data, weight.data
-    padded = np.zeros((C, H + 2, W + 2), dtype=xd.dtype)
-    padded[:, 1:H + 1, 1:W + 1] = xd
-
-    out = np.zeros((K, H, W), dtype=xd.dtype)
-    for dy in range(3):
-        for dx in range(3):
-            patch = padded[:, dy:dy + H, dx:dx + W]
-            out += np.tensordot(wd[:, :, dy, dx], patch, axes=([1], [0]))
+    padded = np.zeros((C, H + 2, W + 2), dtype=x.data.dtype)
+    padded[:, 1:H + 1, 1:W + 1] = x.data
+    w2 = weight.data.reshape(K, 9 * C)
+    out = (w2 @ _im2col(padded, H, W)).reshape(K, H, W)
     if bias is not None:
         out = out + bias.data[:, None, None]
 
     def vjp(g):
+        g2 = g.reshape(K, H * W)
+        gw = (g2 @ _im2col(padded, H, W).T).reshape(weight.shape)
+        gcols = (w2.T @ g2).reshape(C, 3, 3, H, W)
         gx_padded = np.zeros_like(padded)
-        gw = np.zeros_like(wd)
         for dy in range(3):
             for dx in range(3):
-                gx_padded[:, dy:dy + H, dx:dx + W] += np.tensordot(
-                    wd[:, :, dy, dx].T, g, axes=([1], [0]))
-                gw[:, :, dy, dx] = np.tensordot(
-                    g, padded[:, dy:dy + H, dx:dx + W], axes=([1, 2], [1, 2]))
+                gx_padded[:, dy:dy + H, dx:dx + W] += gcols[:, dy, dx]
         gx = gx_padded[:, 1:H + 1, 1:W + 1]
         if bias is None:
             return gx, gw
@@ -451,18 +450,22 @@ def max_pool2d(x, size=2):
     x = as_tensor(x)
     if x.ndim != 3:
         raise DimensionError(f"max_pool2d: expected [C,H,W], got {x.shape}")
-    C, H, W = x.shape
+    _, H, W = x.shape
     if H % size or W % size:
         raise DimensionError(f"max_pool2d: spatial size {H}x{W} not divisible by {size}")
-    oh, ow = H // size, W // size
-    windows = x.data.reshape(C, oh, size, ow, size).transpose(0, 1, 3, 2, 4).reshape(C, oh, ow, size * size)
-    arg = windows.argmax(axis=3)
-    out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
+    xd = x.data
+    taps = [np.s_[:, dy::size, dx::size] for dy in range(size) for dx in range(size)]
+    out = xd[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out, xd[tap], out=out)
 
     def vjp(g):
-        gw = np.zeros((C, oh, ow, size * size), dtype=g.dtype)
-        np.put_along_axis(gw, arg[..., None], g[..., None], axis=3)
-        gx = gw.reshape(C, oh, ow, size, size).transpose(0, 1, 3, 2, 4).reshape(C, H, W)
+        gx = np.zeros_like(xd)
+        free = np.ones(out.shape, dtype=bool)  # no earlier tap held the maximum
+        for tap in taps:  # row-major window order
+            hit = free & (xd[tap] == out)
+            gx[tap] = g * hit
+            free &= ~hit
         return (gx,)
 
     return Tensor._result(out, (x,), vjp, "max_pool2d")

@@ -261,7 +261,11 @@ def make_synthetic_samples(config):
 
 
 def train(config, samples=None, log_fn=None, model=None):
-    """Deterministic training run; returns the model and the full loss log."""
+    """Deterministic training run; returns the model and the full loss log.
+
+    Each sample's forward, loss (checked finite) and backward run in turn,
+    so one sample's tape is alive at a time.
+    """
     if samples is None:
         if config.mode == "synthetic":
             samples = make_synthetic_samples(config)
@@ -287,23 +291,23 @@ def train(config, samples=None, log_fn=None, model=None):
                               config.warmup_fraction)
             batch = order_rng.choice(len(samples), size=min(config.batch_size, len(samples)),
                                      replace=False)
-            batch_loss = None
+            optimizer.zero_grad()
+            sample_losses = []
             batch_break = {}
             for idx in batch:
                 outputs = model.forward(samples[idx])
                 total, breakdown = model.loss(outputs, targets[idx])
-                batch_loss = total if batch_loss is None else batch_loss + total
+                sample_loss = total.item()
+                if not math.isfinite(sample_loss):
+                    raise TrainingAborted(
+                        f"non-finite loss at step {step} (sample {samples[idx].stem})",
+                        diagnostics=_diagnostics(params, step, sample_loss, breakdowns))
+                (total * (1.0 / len(batch))).backward()
+                del outputs, total  # free this sample's tape before the next forward
+                sample_losses.append(sample_loss)
                 for k, val in breakdown.items():
                     batch_break[k] = batch_break.get(k, 0.0) + val / len(batch)
-            batch_loss = batch_loss * (1.0 / len(batch))
-
-            loss_val = batch_loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingAborted(
-                    f"non-finite loss at step {step}",
-                    diagnostics=_diagnostics(params, step, loss_val, breakdowns))
-            optimizer.zero_grad()
-            batch_loss.backward()
+            loss_val = sum(sample_losses) / len(batch)
             optimizer.step(lr)
 
             losses.append(loss_val)
@@ -320,6 +324,8 @@ def train(config, samples=None, log_fn=None, model=None):
 
 
 def _diagnostics(params, step, loss_val, breakdowns):
+    """Parameter and gradient norms at an abort. The gradients describe a partial
+    step: only the samples whose backward ran before the non-finite loss."""
     lines = [f"step={step} loss={loss_val}"]
     for name, p in sorted(params.items()):
         norm = float(np.linalg.norm(p.data))

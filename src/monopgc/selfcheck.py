@@ -35,6 +35,8 @@ def check_numerics_gradients():
             "resize": (lambda x, w=Tensor(rng.standard_normal((2, 5, 7))): (nm.bilinear_resize(x, (5, 7)) * w).sum(), (2, 3, 4)),
             "maxpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 2))): (nm.max_pool2d(x, 2) * w).sum(), (2, 4, 4)),
             "avgpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 3))): (nm.adaptive_avg_pool2d(x, (2, 3)) * w).sum(), (2, 5, 7)),
+            "conv2d_weight": (lambda k, x=Tensor(rng.standard_normal((2, 4, 4))), b=Tensor(rng.standard_normal(2)): (nm.conv2d(x, k, b) * x).sum(), (2, 2, 3, 3)),
+            "conv2d_bias": (lambda b, x=Tensor(rng.standard_normal((2, 4, 4))), k=Tensor(rng.standard_normal((2, 2, 3, 3))): (nm.conv2d(x, k, b) * x).sum(), (2,)),
         }
         inputs = {name: Tensor(rng.standard_normal(shape)) for name, (f, shape) in cases.items()}
     for name, (f, shape) in cases.items():

@@ -91,6 +91,12 @@ class TestInferCommand:
         assert run_cli("train", "--config", str(small_cfg_file), "--out", str(out)) == 0
         return out / "final.ckpt"
 
+    def _init_checkpoint(self, tmp_path, small_cfg_file):
+        cfg = load_config(small_cfg_file)
+        ckpt = tmp_path / "init.ckpt"
+        save_checkpoint(ckpt, MonoPGCModel(cfg).parameters(), config_hash=cfg.model_hash())
+        return ckpt
+
     def test_empty_image_dir_warns_exit_0(self, tmp_path, small_cfg_file, capsys):
         ckpt = self._trained(tmp_path, small_cfg_file)
         empty = tmp_path / "imgs"
@@ -118,9 +124,7 @@ class TestInferCommand:
         assert "malformed tensor line" in capsys.readouterr().err
 
     def test_image_size_mismatch_exits_2(self, tmp_path, small_cfg_file, capsys):
-        cfg = load_config(small_cfg_file)
-        ckpt = tmp_path / "init.ckpt"
-        save_checkpoint(ckpt, MonoPGCModel(cfg).parameters(), config_hash=cfg.model_hash())
+        ckpt = self._init_checkpoint(tmp_path, small_cfg_file)
         imgs = tmp_path / "imgs"
         imgs.mkdir()
         data.save_image(imgs / "000000.ppm", np.zeros((3, 32, 64)))
@@ -128,6 +132,30 @@ class TestInferCommand:
                        "--image-dir", str(imgs), "--out", str(tmp_path / "p"))
         assert code == 2
         assert "000000.ppm is 32x64" in capsys.readouterr().err
+
+    def test_missing_calib_file_exits_2(self, tmp_path, small_cfg_file, capsys):
+        ckpt = self._init_checkpoint(tmp_path, small_cfg_file)
+        imgs, calib = tmp_path / "imgs", tmp_path / "calib"
+        imgs.mkdir()
+        calib.mkdir()
+        data.save_image(imgs / "000000.ppm", np.zeros((3, 48, 48)))
+        code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(ckpt),
+                       "--image-dir", str(imgs), "--calib-dir", str(calib),
+                       "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert "000000.txt does not exist" in capsys.readouterr().err
+
+    def test_bad_image_leaves_no_predictions(self, tmp_path, small_cfg_file, capsys):
+        ckpt = self._init_checkpoint(tmp_path, small_cfg_file)
+        imgs, out = tmp_path / "imgs", tmp_path / "p"
+        imgs.mkdir()
+        data.save_image(imgs / "a.ppm", np.zeros((3, 48, 48)))
+        data.save_image(imgs / "b.ppm", np.zeros((3, 32, 48)))
+        code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(ckpt),
+                       "--image-dir", str(imgs), "--out", str(out))
+        assert code == 2
+        assert "b.ppm is 32x48" in capsys.readouterr().err
+        assert not list(out.glob("*.txt"))
 
     def test_infer_writes_deterministic_predictions(self, tmp_path, small_cfg_file):
         ckpt = self._trained(tmp_path, small_cfg_file)

@@ -8,6 +8,25 @@ from monopgc.errors import DomainError
 from monopgc.numerics import Tensor
 
 
+def maps_from_targets(targets, sharp_score=0.999):
+    """Perfect head maps for the rendered targets (decode round-trip oracle)."""
+    k, h, w = targets["heatmap"].shape
+    heat = np.where(targets["heatmap"] >= 1.0, sharp_score, targets["heatmap"] * 0.3)
+    return head.HeadMaps(
+        class_heatmap=Tensor(heat),
+        center_offset=Tensor(targets["offset"]),
+        dims_log=Tensor(targets["dims_log"]),
+        yaw_sincos=Tensor(targets["yaw"]),
+        center_depth=Tensor(targets["depth"]),
+        depth_log_b=Tensor(np.zeros((1, h, w))),
+    )
+
+
+def aleatoric_depth_term(abs_error, log_b):
+    """Closed-form single-pair value |d| e^{-s} + s."""
+    return abs_error * math.exp(-log_b) + log_b
+
+
 def fresh_maps(seed=0, k=3, hw=(8, 8)):
     rng = np.random.default_rng(seed)
     f = Tensor(rng.standard_normal((8, *hw)))
@@ -105,7 +124,7 @@ class TestTargetsAndDecode:
             scene = data.generate_synthetic_scene(seed)
             h, w = scene.image.shape[1:]
             targets = head.render_targets(scene.objects, scene.calib, (h // 4, w // 4))
-            maps = head.maps_from_targets(targets)
+            maps = maps_from_targets(targets)
             dets = head.decode_detections(maps, scene.calib, score_threshold=0.5,
                                           uncertainty_discount=False)
             assert len(dets) == len(scene.objects)
@@ -129,24 +148,38 @@ class TestDetectionLoss:
 
     def test_perfect_regression_zero_reg(self):
         _, targets = self._setup()
-        maps = head.maps_from_targets(targets, sharp_score=0.999)
+        maps = maps_from_targets(targets, sharp_score=0.999)
         total, breakdown = head.detection_loss(maps, targets)
         assert breakdown["offset"] == pytest.approx(0.0, abs=1e-9)
         assert breakdown["dims"] == pytest.approx(0.0, abs=1e-9)
         assert breakdown["yaw"] == pytest.approx(0.0, abs=1e-9)
         assert breakdown["depth_l1"] == pytest.approx(0.0, abs=1e-9)
 
+    def _aleatoric_loss(self, err, log_b):
+        # the loss's depth term on perfect maps whose depth is off by `err`
+        # at every positive cell, with log_b as the uncertainty everywhere
+        _, targets = self._setup()
+        with nm.check_mode():
+            maps = maps_from_targets(targets)
+            maps.center_depth = Tensor(targets["depth"] + err)
+            maps.depth_log_b = Tensor(np.full_like(targets["depth"], log_b))
+            _, breakdown = head.detection_loss(maps, targets)
+        return breakdown["depth_l1"]
+
     def test_aleatoric_unit_error(self):
-        assert head.aleatoric_depth_term(1.0, 0.0) == pytest.approx(1.0)
+        assert aleatoric_depth_term(1.0, 0.0) == pytest.approx(1.0)
+        assert self._aleatoric_loss(1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_aleatoric_minimum_at_log_error(self):
         # calculus oracle: d/ds (|d| e^-s + s) = 0 at s = ln|d|, value 1 + ln|d|
         for err in (0.3, 1.0, 4.7):
             s_star = math.log(err)
-            best = head.aleatoric_depth_term(err, s_star)
+            best = aleatoric_depth_term(err, s_star)
             assert best == pytest.approx(1.0 + math.log(err), rel=1e-9)
+            assert self._aleatoric_loss(err, s_star) == pytest.approx(best, rel=1e-9)
             for ds in (-0.3, 0.2, 1.0):
-                assert head.aleatoric_depth_term(err, s_star + ds) > best
+                assert aleatoric_depth_term(err, s_star + ds) > best
+                assert self._aleatoric_loss(err, s_star + ds) > best
 
     def test_no_positives_warns(self):
         maps = fresh_maps(6)
@@ -174,7 +207,7 @@ class TestDetectionLoss:
 
     def test_total_composition(self):
         _, targets = self._setup()
-        maps = head.maps_from_targets(targets)
+        maps = maps_from_targets(targets)
         dloss = Tensor(np.array(0.25)).sum()
         total, breakdown = head.detection_loss(maps, targets, lambdas=(2.0, 1.0, 1.0),
                                                depth_loss=dloss)

@@ -8,8 +8,8 @@ from monopgc.config import RunConfig, parse_config_text
 from monopgc.dcpm import IGNORE_BIN
 from monopgc.errors import ConfigError
 from monopgc.numerics import Tensor
-from monopgc.pipeline import (Adam, MonoPGCModel, build_targets, flatten_params,
-                              make_synthetic_samples, one_cycle_lr, train)
+from monopgc.pipeline import (Adam, MonoPGCModel, TrainingAborted, build_targets,
+                              flatten_params, make_synthetic_samples, one_cycle_lr, train)
 
 SMALL = parse_config_text(
     "data.image_height=48\ndata.image_width=48\nmodel.channels=8\nmodel.embed=16\n"
@@ -152,6 +152,48 @@ class TestTraining:
         a, _ = train(small_config())
         b, _ = train(small_config(seed=5))
         assert a.log_lines != b.log_lines
+
+    def test_per_sample_backward_matches_batched_graph(self):
+        cfg = small_config(scenes=3, batch_size=3, steps=1)
+        with nm.check_mode():
+            # train() leaves its one step's gradients on the parameters
+            result, _ = train(cfg)
+            model = MonoPGCModel(cfg)  # the same seed: train()'s starting point
+            total = None
+            for sample in result.samples:
+                loss, _ = model.loss(model.forward(sample), build_targets(sample, cfg))
+                total = loss if total is None else total + loss
+            (total * (1.0 / 3)).backward()
+        trained = result.model.parameters()
+        assert sum(p.grad is not None for p in model.parameters().values()) > 10
+        for name, p in model.parameters().items():
+            if p.grad is None:  # a module this config leaves out
+                assert trained[name].grad is None, name
+            else:
+                np.testing.assert_allclose(trained[name].grad, p.grad, rtol=0, atol=1e-12,
+                                           err_msg=name)
+
+    def test_nonfinite_sample_loss_aborts_before_update(self, monkeypatch):
+        cfg = small_config()
+        real_loss = MonoPGCModel.loss
+        calls = []
+
+        def loss(self, outputs, targets):
+            total, breakdown = real_loss(self, outputs, targets)
+            calls.append(None)
+            if len(calls) == cfg.batch_size:  # the last sample of the first step
+                total = total * float("nan")
+            return total, breakdown
+
+        monkeypatch.setattr(MonoPGCModel, "loss", loss)
+        model = MonoPGCModel(cfg)
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        with pytest.raises(TrainingAborted, match="non-finite loss at step 0"):
+            train(cfg, model=model)
+        for name, p in model.parameters().items():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+        # the earlier samples' backward ran: the gradients hold a partial step
+        assert any(p.grad is not None for p in model.parameters().values())
 
     def test_checkpoint_restores_bit_identical_forward(self, tmp_path):
         from monopgc.checkpoint import load_checkpoint, save_checkpoint
