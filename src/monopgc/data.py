@@ -108,8 +108,12 @@ def format_kitti_label(obj, include_score=None):
 
 
 def read_label_file(path):
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError:
+        raise ConfigError(f"label file {path} does not exist") from None
     objects = []
-    for i, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for i, line in enumerate(text.splitlines(), start=1):
         if line.strip():
             objects.append(parse_kitti_label(line, line_number=i))
     return objects

@@ -35,3 +35,7 @@ class GenerationError(MonoPGCError, RuntimeError):
 
 class EvaluationError(MonoPGCError, RuntimeError):
     """A value required by an evaluation is non-finite or unusable."""
+
+
+class HelperError(MonoPGCError, RuntimeError):
+    """A forked training helper ended without delivering its share's results."""

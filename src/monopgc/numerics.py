@@ -15,8 +15,14 @@ on the tape. Bilinear resize and adaptive average pooling are the same
 separable linear map, out[c] = Wy @ x[c] @ Wx^T, with the vjp
 Wy^T @ g @ Wx; each kernel only builds its two 1-d weight matrices.
 
+The vjps of mul, matmul and conv2d compute only the gradients of the
+operands that require one, decided when the node is made: the image at
+the stem, fixed filters and constant operands cost no backward work.
+
 Broadcasting is restricted to python-scalar against tensor; any other
-shape mismatch raises DimensionError.
+shape mismatch raises DimensionError. Division by a tensor needs a
+strictly positive denominator (DomainError otherwise), because it is
+composed as x * exp(-log d).
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from contextlib import contextmanager
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, EvaluationError
+from .errors import DimensionError, DomainError, EvaluationError
 
 _MODE = "run"
 _DTYPES = {"run": np.float32, "check": np.float64}
@@ -187,6 +193,8 @@ class Tensor:
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
+            if (other.data <= 0).any():
+                raise DomainError("division by a tensor needs a strictly positive denominator")
             return mul(self, reciprocal(other))
         return mul(self, 1.0 / float(other))
 
@@ -266,7 +274,12 @@ def mul(a, b):
         return Tensor._result(data, (a,), lambda g: (g * c,), "mul")
     data = a.data * b.data
     ad, bd = a.data, b.data
-    return Tensor._result(data, (a, b), lambda g: (g * bd, g * ad), "mul")
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def vjp(g):
+        return g * bd if need_a else None, g * ad if need_b else None
+
+    return Tensor._result(data, (a, b), vjp, "mul")
 
 
 def exp(x):
@@ -329,9 +342,10 @@ def matmul(a, b):
         raise DimensionError(f"matmul: inner dimensions disagree {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
     data = ad @ bd
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.T if need_a else None, ad.T @ g if need_b else None
 
     return Tensor._result(data, (a, b), vjp, "matmul")
 
@@ -369,15 +383,20 @@ def conv2d(x, weight, bias=None):
     if bias is not None:
         out = out + bias.data[:, None, None]
 
+    need_x, need_w = x.requires_grad, weight.requires_grad
+
     def vjp(g):
         g2 = g.reshape(K, H * W)
-        gw = (g2 @ _im2col(padded, H, W).T).reshape(weight.shape)
-        gcols = (w2.T @ g2).reshape(C, 3, 3, H, W)
-        gx_padded = np.zeros_like(padded)
-        for dy in range(3):
-            for dx in range(3):
-                gx_padded[:, dy:dy + H, dx:dx + W] += gcols[:, dy, dx]
-        gx = gx_padded[:, 1:H + 1, 1:W + 1]
+        gx = gw = None
+        if need_w:
+            gw = (g2 @ _im2col(padded, H, W).T).reshape(weight.shape)
+        if need_x:
+            gcols = (w2.T @ g2).reshape(C, 3, 3, H, W)
+            gx_padded = np.zeros_like(padded)
+            for dy in range(3):
+                for dx in range(3):
+                    gx_padded[:, dy:dy + H, dx:dx + W] += gcols[:, dy, dx]
+            gx = gx_padded[:, 1:H + 1, 1:W + 1]
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(1, 2))

@@ -5,11 +5,21 @@ transformer, and head modules. Toggles map to the ablation rows: without
 the fusion module the 1/4 backbone level feeds the rest directly (and there
 is no depth supervision); without the transformer the decoder is bypassed
 and a non-trivial positional encoding, if any, is added to the features.
+
+Training splits each step's samples across the CPUs that BLAS threads
+leave free: helper processes forked for the step run all but the first
+share and send back per-sample gradients, which are summed in sample
+order, so a run gives the same bits on any number of CPUs (see `train`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +28,7 @@ import numpy as np
 from . import dcpm, dsat, head as head_mod, numerics as nm
 from .data import SceneConfig, generate_synthetic_scene, sample_from_scene
 from .dcpm import IGNORE_BIN
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, HelperError
 from .geometry import build_normalized_grid, depth_to_lid_bin
 from .numerics import Tensor
 
@@ -263,8 +273,14 @@ def make_synthetic_samples(config):
 def train(config, samples=None, log_fn=None, model=None):
     """Deterministic training run; returns the model and the full loss log.
 
-    Each sample's forward, loss (checked finite) and backward run in turn,
-    so one sample's tape is alive at a time.
+    Each step's batch is cut into one contiguous share per CPU left free by
+    BLAS threads (at most one per sample; see `_step_processes`). The first
+    share runs here; every other share runs in a helper process forked for
+    that step, which inherits the current parameters and sends back each
+    sample's loss and gradients. Per sample, forward, loss (checked finite)
+    and backward run in turn, so one tape is alive per process. Gradients
+    are summed in sample order with the rule backward() uses, so losses,
+    logs and parameters do not depend on the share count, to the bit.
     """
     if samples is None:
         if config.mode == "synthetic":
@@ -280,6 +296,7 @@ def train(config, samples=None, log_fn=None, model=None):
     targets = [build_targets(s, config) for s in samples]
     total_steps = config.total_steps(len(samples))
     order_rng = np.random.default_rng(config.seed + 1)
+    processes = _step_processes()
 
     log_lines = []
     losses = []
@@ -292,21 +309,19 @@ def train(config, samples=None, log_fn=None, model=None):
             batch = order_rng.choice(len(samples), size=min(config.batch_size, len(samples)),
                                      replace=False)
             optimizer.zero_grad()
+            shares = np.array_split(batch, min(len(batch), processes))
             sample_losses = []
             batch_break = {}
-            for idx in batch:
-                outputs = model.forward(samples[idx])
-                total, breakdown = model.loss(outputs, targets[idx])
-                sample_loss = total.item()
-                if not math.isfinite(sample_loss):
-                    raise TrainingAborted(
-                        f"non-finite loss at step {step} (sample {samples[idx].stem})",
-                        diagnostics=_diagnostics(params, step, sample_loss, breakdowns))
-                (total * (1.0 / len(batch))).backward()
-                del outputs, total  # free this sample's tape before the next forward
-                sample_losses.append(sample_loss)
-                for k, val in breakdown.items():
-                    batch_break[k] = batch_break.get(k, 0.0) + val / len(batch)
+            with contextlib.closing(_sample_results(model, list(params.values()), samples,
+                                                    targets, shares, 1.0 / len(batch))) as results:
+                for idx, sample_loss, breakdown in results:
+                    if not math.isfinite(sample_loss):
+                        raise TrainingAborted(
+                            f"non-finite loss at step {step} (sample {samples[idx].stem})",
+                            diagnostics=_diagnostics(params, step, sample_loss, breakdowns))
+                    sample_losses.append(sample_loss)
+                    for k, val in breakdown.items():
+                        batch_break[k] = batch_break.get(k, 0.0) + val / len(batch)
             loss_val = sum(sample_losses) / len(batch)
             optimizer.step(lr)
 
@@ -323,9 +338,143 @@ def train(config, samples=None, log_fn=None, model=None):
                        losses=losses, breakdowns=breakdowns), optimizer
 
 
+# Each of these sets the threads a BLAS call runs on (the first set one
+# wins); with none set, OpenBLAS, MKL and OpenMP run one thread per CPU.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _step_processes():
+    """How many processes one training step may run its shares in.
+
+    The CPUs this process may run on, divided by the threads each BLAS call
+    already takes: helpers on top of BLAS threads leave spinning BLAS
+    workers fighting for the CPUs (on a 2-vCPU VM with OpenBLAS at two
+    threads, a split step took 2.65 s against 0.95 s serial).
+    1 where helpers cannot be forked safely: without os.fork, or while other
+    threads run, since a forked child holds only the calling thread and a
+    lock another thread held at the fork stays locked in it for good.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas_threads = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas_threads = int(value)
+            break
+    return max(1, cpus // blas_threads)
+
+
+def _share_passes(model, samples, targets, share, scale):
+    """Forward, loss and backward of each sample of `share`, in order.
+
+    Yields (index, loss, breakdown) once the sample's scaled gradient has
+    been added to the parameters. A non-finite loss is yielded without its
+    backward and ends the share.
+    """
+    for idx in share:
+        outputs = model.forward(samples[idx])
+        total, breakdown = model.loss(outputs, targets[idx])
+        loss = total.item()
+        finite = math.isfinite(loss)
+        if finite:
+            (total * scale).backward()
+        del outputs, total  # free this sample's tape before the next forward
+        yield idx, loss, breakdown
+        if not finite:
+            return
+
+
+def _sample_results(model, params, samples, targets, shares, scale):
+    """Run one step's shares; yield (index, loss, breakdown) in sample order.
+
+    Helpers for shares 1.. are forked first and share 0 runs here. Each
+    helper sample's gradients are added to `params` in sample order, with
+    backward()'s rule, before the sample is yielded, so the sums equal a
+    serial loop's bits. A helper's exception is raised here. On every exit
+    the helpers are reaped; those that have not delivered their whole share
+    are killed first.
+    """
+    helpers = []
+    pending = set()
+    try:
+        for share in shares[1:]:
+            pid, reader = _fork_share(model, params, samples, targets, share, scale)
+            helpers.append((pid, reader, share))
+            pending.add(pid)
+        yield from _share_passes(model, samples, targets, shares[0], scale)
+        for pid, reader, share in helpers:
+            for _ in share:
+                try:
+                    record = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    raise HelperError(f"training helper {pid} ended without sending "
+                                      "its results") from None
+                if isinstance(record, BaseException):
+                    raise record
+                idx, loss, breakdown, grads = record
+                for p, g in zip(params, grads):
+                    if g is not None:
+                        p.grad = g if p.grad is None else p.grad + g
+                yield idx, loss, breakdown
+                if not math.isfinite(loss):
+                    return
+            pending.discard(pid)
+    finally:
+        for pid, reader, _ in helpers:
+            reader.close()
+            if pid in pending:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_share(model, params, samples, targets, share, scale):
+    """Fork a helper that runs `share` and pickles one record per sample to a pipe.
+
+    A record is (index, loss, breakdown, per-parameter gradients), or the
+    exception that stopped the share. The records are written once the
+    share has run, so the helper never waits on the parent mid-share.
+    Returns (pid, reader).
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, open(read_fd, "rb")
+    try:  # the helper: never returns into the caller
+        os.close(read_fd)
+        records = []
+        try:
+            for idx, loss, breakdown in _share_passes(model, samples, targets, share, scale):
+                grads = [p.grad for p in params]  # all None after a non-finite loss
+                for p in params:
+                    p.grad = None
+                records.append((idx, loss, breakdown, grads))
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+            try:
+                pickle.dumps(exc)
+            except Exception:  # noqa: BLE001
+                exc = HelperError(f"training helper failed: {type(exc).__name__}: {exc}")
+            records.append(exc)
+        with open(write_fd, "wb") as out:
+            for record in records:
+                pickle.dump(record, out, protocol=pickle.HIGHEST_PROTOCOL)
+    finally:
+        os._exit(0)
+
+
 def _diagnostics(params, step, loss_val, breakdowns):
     """Parameter and gradient norms at an abort. The gradients describe a partial
-    step: only the samples whose backward ran before the non-finite loss."""
+    step: only the samples before the non-finite one in batch order."""
     lines = [f"step={step} loss={loss_val}"]
     for name, p in sorted(params.items()):
         norm = float(np.linalg.norm(p.data))

@@ -66,6 +66,20 @@ class TestTrainCommand:
         assert "data.calib_dir" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_kitti_missing_label_file_exit_2(self, tmp_path, capsys):
+        dirs = {name: tmp_path / name for name in ("image", "label", "calib")}
+        for seed, stem in ((3, "000003"), (4, "000004")):
+            data.scene_to_files(data.generate_synthetic_scene(seed), stem,
+                                dirs["image"], dirs["label"], dirs["calib"])
+        (dirs["label"] / "000004.txt").unlink()
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(f"run.mode=kitti\ndata.image_dir={dirs['image']}\n"
+                       f"data.label_dir={dirs['label']}\ndata.calib_dir={dirs['calib']}\n"
+                       "optim.steps=1\n")
+        assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert "000004.txt does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_kitti_image_size_mismatch_exit_2(self, tmp_path, capsys):
         scene = data.generate_synthetic_scene(3, data.SceneConfig(image_size=(64, 64)))
         dirs = {name: tmp_path / name for name in ("image", "label", "calib")}

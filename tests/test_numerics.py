@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monopgc import numerics as nm
-from monopgc.errors import DimensionError, EvaluationError
+from monopgc.errors import DimensionError, DomainError, EvaluationError
 from monopgc.numerics import Tensor
 
 
@@ -342,6 +342,23 @@ class TestTapeSemantics:
         with pytest.raises(DimensionError):
             (x * 2.0).backward()
 
+    @pytest.mark.parametrize("kernel", ["mul", "matmul", "conv2d"])
+    def test_vjp_skips_operands_without_grad(self, kernel):
+        rng = np.random.default_rng(5)
+        shapes = {"mul": ((3, 4), (3, 4)), "matmul": ((3, 4), (4, 2)),
+                  "conv2d": ((2, 5, 6), (3, 2, 3, 3))}[kernel]
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        op = getattr(nm, kernel)
+        full = op(*(nm.parameter(a) for a in arrays))
+        g = rng.standard_normal(full.shape).astype(full.dtype)
+        want = full._vjp(g)
+        for kept in range(2):
+            operands = [nm.parameter(a) if i == kept else Tensor(a) for i, a in enumerate(arrays)]
+            got = op(*operands)._vjp(g)
+            assert got[1 - kept] is None
+            # the kept gradient is the same bits as with both operands trainable
+            np.testing.assert_array_equal(got[kept], want[kept])
+
 
 class TestShapeDiscipline:
     def test_no_general_broadcasting(self):
@@ -386,6 +403,13 @@ class TestComposites:
     def test_reciprocal_positive(self):
         x = Tensor([0.5, 2.0, 4.0])
         np.testing.assert_allclose(nm.reciprocal(x).data, [2.0, 0.5, 0.25], rtol=1e-6)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_division_by_non_positive_tensor_raises(self, bad):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(DomainError, match="strictly positive"):
+            x / Tensor([4.0, bad])
+        np.testing.assert_allclose((x / Tensor([4.0, 0.5])).data, [0.25, 4.0], rtol=1e-6)
 
     def test_operator_chain(self):
         x = Tensor([4.0], requires_grad=True)

@@ -1,12 +1,15 @@
+import contextlib
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from monopgc import numerics as nm
+from monopgc import numerics as nm, pipeline
 from monopgc.config import RunConfig, parse_config_text
 from monopgc.dcpm import IGNORE_BIN
-from monopgc.errors import ConfigError
+from monopgc.errors import ConfigError, DimensionError, HelperError
 from monopgc.numerics import Tensor
 from monopgc.pipeline import (Adam, MonoPGCModel, TrainingAborted, build_targets,
                               flatten_params, make_synthetic_samples, one_cycle_lr, train)
@@ -24,6 +27,32 @@ def small_config(**kw):
     from dataclasses import replace
 
     return replace(SMALL, **kw)
+
+
+def _first_batch_stems(cfg):
+    """Stems of the first step's batch, in order, drawn the way train() draws it."""
+    batch = np.random.default_rng(cfg.seed + 1).choice(
+        cfg.scenes, size=min(cfg.batch_size, cfg.scenes), replace=False)
+    return [f"{i:06d}" for i in batch]
+
+
+def _plant(monkeypatch, stem, effect):
+    """Replace the loss of the sample named `stem` by effect(loss), wherever it runs."""
+    real_forward, real_loss = MonoPGCModel.forward, MonoPGCModel.loss
+
+    def forward(self, sample):
+        outputs = real_forward(self, sample)
+        outputs["stem"] = sample.stem
+        return outputs
+
+    def loss(self, outputs, targets):
+        total, breakdown = real_loss(self, outputs, targets)
+        if outputs["stem"] == stem:
+            total = effect(total)
+        return total, breakdown
+
+    monkeypatch.setattr(MonoPGCModel, "forward", forward)
+    monkeypatch.setattr(MonoPGCModel, "loss", loss)
 
 
 class TestModelAssembly:
@@ -175,17 +204,10 @@ class TestTraining:
 
     def test_nonfinite_sample_loss_aborts_before_update(self, monkeypatch):
         cfg = small_config()
-        real_loss = MonoPGCModel.loss
-        calls = []
-
-        def loss(self, outputs, targets):
-            total, breakdown = real_loss(self, outputs, targets)
-            calls.append(None)
-            if len(calls) == cfg.batch_size:  # the last sample of the first step
-                total = total * float("nan")
-            return total, breakdown
-
-        monkeypatch.setattr(MonoPGCModel, "loss", loss)
+        # keyed on the sample, not on a call count: a forked helper's calls
+        # do not reach this process
+        _plant(monkeypatch, _first_batch_stems(cfg)[-1],  # the last sample of the first step
+               lambda total: total * float("nan"))
         model = MonoPGCModel(cfg)
         before = {name: p.data.copy() for name, p in model.parameters().items()}
         with pytest.raises(TrainingAborted, match="non-finite loss at step 0"):
@@ -209,3 +231,130 @@ class TestTraining:
         fresh.load_state(load_checkpoint(path)["params"])
         after = fresh.forward(sample)["maps"].class_heatmap.data
         np.testing.assert_array_equal(before, after)
+
+
+class TestSplitStep:
+    """A step's samples cut into 1, 2 or 3 shares; shares 1.. run in forked helpers."""
+
+    CFG = dict(scenes=5, batch_size=5, steps=2)  # shares of 5, 3+2 and 2+2+1 samples
+
+    @staticmethod
+    def _shares(monkeypatch, n):
+        monkeypatch.setattr(pipeline, "_step_processes", lambda: n)
+
+    @staticmethod
+    def _assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _grads(model):
+        return {name: p.grad for name, p in model.parameters().items()}
+
+    def _assert_same_grads(self, got, want):
+        assert sum(g is not None for g in want.values()) > 10
+        for name, g in want.items():
+            if g is None:
+                assert got[name] is None, name
+            else:
+                np.testing.assert_array_equal(got[name], g, err_msg=name)
+
+    @pytest.mark.parametrize("check", [False, True], ids=["run", "check"])
+    def test_share_count_changes_no_bit(self, monkeypatch, check):
+        runs = []
+        for n in (1, 2, 3):
+            self._shares(monkeypatch, n)
+            with nm.check_mode() if check else contextlib.nullcontext():
+                result, _ = train(small_config(**self.CFG))
+            self._assert_no_child()
+            runs.append(result)
+        first = runs[0]
+        for other in runs[1:]:
+            assert other.log_lines == first.log_lines
+            self._assert_same_grads(self._grads(other.model), self._grads(first.model))
+            for name, p in first.model.parameters().items():
+                np.testing.assert_array_equal(other.model.parameters()[name].data, p.data,
+                                              err_msg=name)
+
+    def test_nonfinite_loss_in_helper_aborts_with_earlier_gradients(self, monkeypatch):
+        cfg = small_config(**self.CFG)
+        bad = _first_batch_stems(cfg)[-1]  # the second sample of the helper's share
+        _plant(monkeypatch, bad, lambda total: total * float("nan"))
+        partial = {}
+        for n in (1, 2):
+            self._shares(monkeypatch, n)
+            model = MonoPGCModel(cfg)
+            before = {name: p.data.copy() for name, p in model.parameters().items()}
+            with pytest.raises(TrainingAborted, match=f"step 0 \\(sample {bad}\\)"):
+                train(cfg, model=model)
+            self._assert_no_child()
+            for name, p in model.parameters().items():
+                np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+            partial[n] = self._grads(model)
+        # every earlier sample's gradient is merged, as in the serial loop
+        self._assert_same_grads(partial[2], partial[1])
+
+    def test_processes_leave_room_for_blas_threads(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        for var in pipeline._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert pipeline._step_processes() == 1  # BLAS takes one thread per CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert pipeline._step_processes() == cpus
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))  # read before OMP_NUM_THREADS
+        assert pipeline._step_processes() == 1
+
+    def test_one_process_while_other_threads_run(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert pipeline._step_processes() == len(os.sched_getaffinity(0))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert pipeline._step_processes() == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_helper_error_is_raised_here(self, monkeypatch):
+        cfg = small_config(**self.CFG)
+
+        def fail(total):
+            raise DimensionError("planted in the helper")
+
+        _plant(monkeypatch, _first_batch_stems(cfg)[-1], fail)
+        self._shares(monkeypatch, 2)
+        with pytest.raises(DimensionError, match="planted in the helper"):
+            train(cfg)
+        self._assert_no_child()
+
+    def test_helper_that_dies_is_a_typed_error(self, monkeypatch):
+        cfg = small_config(**self.CFG)
+        parent = os.getpid()
+
+        def die(total):
+            if os.getpid() != parent:
+                os._exit(1)
+            return total
+
+        _plant(monkeypatch, _first_batch_stems(cfg)[-1], die)
+        self._shares(monkeypatch, 2)
+        with pytest.raises(HelperError, match="without sending its results"):
+            train(cfg)
+        self._assert_no_child()
+
+    def test_interrupt_kills_and_reaps_the_helpers(self, monkeypatch):
+        cfg = small_config(**self.CFG)
+        parent = os.getpid()
+
+        def interrupt(total):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return total
+
+        _plant(monkeypatch, _first_batch_stems(cfg)[0], interrupt)  # share 0 runs here
+        self._shares(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            train(cfg)
+        self._assert_no_child()
