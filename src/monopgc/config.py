@@ -7,9 +7,10 @@ Example file:
     model.pe=dgpe
     optim.lr_peak=2.25e-3
 
-Every behavior of the pipeline is determined by the config (plus the seed);
-there are no hidden environment dependencies except an optional thread
-count variable read by the evaluation CLI.
+Every result of the pipeline is determined by the config (plus the seed).
+The only environment it reads is OpenBLAS's thread variables, which decide
+whether training splits each step across CPUs and never change a result
+(see `pipeline._step_processes`).
 """
 
 from __future__ import annotations

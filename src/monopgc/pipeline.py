@@ -6,9 +6,9 @@ the fusion module the 1/4 backbone level feeds the rest directly (and there
 is no depth supervision); without the transformer the decoder is bypassed
 and a non-trivial positional encoding, if any, is added to the features.
 
-Training splits each step's samples across the CPUs that BLAS threads
-leave free: helper processes forked for the step run all but the first
-share and send back per-sample gradients, which are summed in sample
+With OpenBLAS pinned to one thread, training splits each step's samples
+across the CPUs: helper processes forked for the step run all but the
+first share and send back per-sample gradients, which are summed in sample
 order, so a run gives the same bits on any number of CPUs (see `train`).
 """
 
@@ -273,14 +273,15 @@ def make_synthetic_samples(config):
 def train(config, samples=None, log_fn=None, model=None):
     """Deterministic training run; returns the model and the full loss log.
 
-    Each step's batch is cut into one contiguous share per CPU left free by
-    BLAS threads (at most one per sample; see `_step_processes`). The first
-    share runs here; every other share runs in a helper process forked for
-    that step, which inherits the current parameters and sends back each
-    sample's loss and gradients. Per sample, forward, loss (checked finite)
-    and backward run in turn, so one tape is alive per process. Gradients
-    are summed in sample order with the rule backward() uses, so losses,
-    logs and parameters do not depend on the share count, to the bit.
+    Each step's batch is cut into one contiguous share per CPU when BLAS is
+    pinned to one thread, else one share (at most one share per sample; see
+    `_step_processes`). The first share runs here; every other share runs
+    in a helper process forked for that step, which inherits the current
+    parameters and sends back each sample's loss and gradients. Per
+    sample, forward, loss (checked finite) and backward run in turn, so one
+    tape is alive per process. Gradients are summed in sample order with
+    the rule backward() uses, so losses, logs and parameters do not depend
+    on the share count, to the bit.
     """
     if samples is None:
         if config.mode == "synthetic":
@@ -338,35 +339,25 @@ def train(config, samples=None, log_fn=None, model=None):
                        losses=losses, breakdowns=breakdowns), optimizer
 
 
-# Each of these sets the threads a BLAS call runs on (the first set one
-# wins); with none set, OpenBLAS, MKL and OpenMP run one thread per CPU.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
-
-
 def _step_processes():
     """How many processes one training step may run its shares in.
 
-    The CPUs this process may run on, divided by the threads each BLAS call
-    already takes: helpers on top of BLAS threads leave spinning BLAS
-    workers fighting for the CPUs (on a 2-vCPU VM with OpenBLAS at two
-    threads, a split step took 2.65 s against 0.95 s serial).
-    1 where helpers cannot be forked safely: without os.fork, or while other
-    threads run, since a forked child holds only the calling thread and a
-    lock another thread held at the fork stays locked in it for good.
+    Every CPU of `os.sched_getaffinity` when OpenBLAS is pinned to one
+    thread (`OPENBLAS_NUM_THREADS=1`, or `OMP_NUM_THREADS=1` with the former
+    unset, as OpenBLAS reads them), else 1. Pinned, the process runs no
+    BLAS worker thread, so no other thread is alive at the fork; unpinned
+    on a 2-vCPU VM a two-share step took 1.6-4.6 s against 0.85-0.90 s in
+    one process (`blas_threads` in BENCH_train_step_parallel.json).
+    1 also without os.fork and while other Python threads run, since a
+    forked child holds only the calling thread and a lock another thread
+    held at the fork stays locked in it for good.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    blas_threads = cpus
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            blas_threads = int(value)
-            break
-    return max(1, cpus // blas_threads)
+    pinned = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
+    if not pinned or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _share_passes(model, samples, targets, share, scale):

@@ -294,15 +294,20 @@ class TestSplitStep:
         # every earlier sample's gradient is merged, as in the serial loop
         self._assert_same_grads(partial[2], partial[1])
 
-    def test_processes_leave_room_for_blas_threads(self, monkeypatch):
+    def test_processes_only_with_blas_pinned(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        for var in pipeline._BLAS_THREAD_VARS:
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         assert pipeline._step_processes() == 1  # BLAS takes one thread per CPU
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert pipeline._step_processes() == 1
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         assert pipeline._step_processes() == cpus
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(cpus))  # read before OMP_NUM_THREADS
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read before OMP_NUM_THREADS
         assert pipeline._step_processes() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert pipeline._step_processes() == cpus
 
     def test_one_process_while_other_threads_run(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
