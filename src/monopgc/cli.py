@@ -106,7 +106,7 @@ def cmd_train(args):
         print(line)
 
     try:
-        result, optimizer = train(cfg, samples=samples, log_fn=log)
+        result, _ = train(cfg, samples=samples, log_fn=log)
     except TrainingAborted as exc:
         dump = out_dir / "nan_dump.txt"
         dump.write_text(exc.diagnostics + "\n")
@@ -116,9 +116,7 @@ def cmd_train(args):
     log_path.write_text("\n".join(result.log_lines) + "\n")
     ckpt = out_dir / "final.ckpt"
     save_checkpoint(ckpt, result.model.parameters(), step=len(result.losses),
-                    config_hash=cfg.model_hash(),
-                    extra_arrays=optimizer.state_arrays(),
-                    meta={"adam_t": optimizer.t})
+                    config_hash=cfg.model_hash())
     (out_dir / "config.txt").write_text(cfg.to_text())
     print(f"wrote {log_path} and {ckpt}")
     return EXIT_OK

@@ -72,12 +72,13 @@ def parse_kitti_label(line, line_number=None):
         raise ParseError(f"expected 15 or 16 fields, got {len(fields)}{where}")
     try:
         vals = [float(f) for f in fields[1:]]
-    except ValueError as exc:
+        occlusion = int(vals[1])  # "nan" and "inf" parse as floats but not as ints
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"unparseable number in label line{where}: {exc}") from None
     obj = LabeledObject(
         class_name=fields[0],
         truncation=vals[0],
-        occlusion=int(vals[1]),
+        occlusion=occlusion,
         alpha=vals[2],
         bbox2d=tuple(vals[3:7]),
         dimensions=tuple(vals[7:10]),
@@ -200,6 +201,8 @@ def decode_ppm(raw):
         raise FormatError("non-numeric PPM header fields") from None
     if maxval != 255:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
+    if width < 0 or height < 0:
+        raise FormatError(f"negative PPM size {width}x{height}")
     pos += 1  # exactly one whitespace byte after maxval
     need = width * height * 3
     payload = raw[pos:pos + need]

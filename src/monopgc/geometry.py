@@ -32,7 +32,7 @@ class CameraCalibration:
             arr = np.asarray(mat, dtype=np.float64)
             if arr.shape != (4, 4):
                 raise CalibrationError(f"{name} matrix must be 4x4, got {arr.shape}")
-            cond = np.linalg.cond(arr)
+            cond = np.linalg.cond(arr) if np.isfinite(arr).all() else np.inf  # SVD fails on NaN
             if not np.isfinite(cond) or cond > MAX_CONDITION_NUMBER:
                 raise CalibrationError(f"{name} matrix is singular or badly conditioned (cond={cond:.3g})")
             object.__setattr__(self, "k_intrinsic" if name == "intrinsic" else "k_extrinsic", arr)

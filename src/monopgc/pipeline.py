@@ -7,9 +7,10 @@ is no depth supervision); without the transformer the decoder is bypassed
 and a non-trivial positional encoding, if any, is added to the features.
 
 With OpenBLAS pinned to one thread, training splits each step's samples
-across the CPUs: helper processes forked for the step run all but the
-first share and send back per-sample gradients, which are summed in sample
-order, so a run gives the same bits on any number of CPUs (see `train`).
+across the CPUs: helper processes forked once per run are sent the current
+parameters each step, run all but the first share and send back per-sample
+gradients, which are summed in sample order, so a run gives the same bits
+on any number of CPUs (see `train`).
 """
 
 from __future__ import annotations
@@ -220,13 +221,6 @@ class Adam:
             out[f"adam_v:{name}"] = self.v[name]
         return out
 
-    def load_state_arrays(self, arrays, t):
-        self.t = t
-        for name in self.params:
-            if f"adam_m:{name}" in arrays:
-                self.m[name] = arrays[f"adam_m:{name}"].astype(self.m[name].dtype)
-                self.v[name] = arrays[f"adam_v:{name}"].astype(self.v[name].dtype)
-
 
 def one_cycle_lr(step, total_steps, lr_initial, lr_peak, warmup_fraction=0.3, final_div=10.0):
     """Linear ramp to the peak, then cosine anneal to lr_initial/final_div."""
@@ -276,12 +270,12 @@ def train(config, samples=None, log_fn=None, model=None):
     Each step's batch is cut into one contiguous share per CPU when BLAS is
     pinned to one thread, else one share (at most one share per sample; see
     `_step_processes`). The first share runs here; every other share runs
-    in a helper process forked for that step, which inherits the current
-    parameters and sends back each sample's loss and gradients. Per
-    sample, forward, loss (checked finite) and backward run in turn, so one
-    tape is alive per process. Gradients are summed in sample order with
-    the rule backward() uses, so losses, logs and parameters do not depend
-    on the share count, to the bit.
+    in a helper process forked once for the run, which is sent the current
+    parameters each step and sends back each sample's loss and gradients.
+    Per sample, forward, loss (checked finite) and backward run in turn, so
+    one tape is alive per process. Gradients are summed in sample order
+    with the rule backward() uses, so losses, logs and parameters do not
+    depend on the share count, to the bit.
     """
     if samples is None:
         if config.mode == "synthetic":
@@ -297,32 +291,34 @@ def train(config, samples=None, log_fn=None, model=None):
     targets = [build_targets(s, config) for s in samples]
     total_steps = config.total_steps(len(samples))
     order_rng = np.random.default_rng(config.seed + 1)
-    processes = _step_processes()
+    batch_size = min(config.batch_size, len(samples))
+    n_shares = min(batch_size, _step_processes())
 
     log_lines = []
     losses = []
     breakdowns = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
+    with warnings.catch_warnings(), contextlib.ExitStack() as run:
+        warnings.simplefilter("ignore", UserWarning)  # helpers forked below inherit it
+        # A step that ends early (a non-finite loss, an exception) ends the
+        # run and its helpers, so no record of it can reach a later step.
+        helpers = run.enter_context(_step_helpers(model, params, samples, targets, n_shares - 1))
         for step in range(total_steps):
             lr = one_cycle_lr(step, total_steps, config.lr_initial, config.lr_peak,
                               config.warmup_fraction)
-            batch = order_rng.choice(len(samples), size=min(config.batch_size, len(samples)),
-                                     replace=False)
+            batch = order_rng.choice(len(samples), size=batch_size, replace=False)
             optimizer.zero_grad()
-            shares = np.array_split(batch, min(len(batch), processes))
+            shares = np.array_split(batch, n_shares)
             sample_losses = []
             batch_break = {}
-            with contextlib.closing(_sample_results(model, list(params.values()), samples,
-                                                    targets, shares, 1.0 / len(batch))) as results:
-                for idx, sample_loss, breakdown in results:
-                    if not math.isfinite(sample_loss):
-                        raise TrainingAborted(
-                            f"non-finite loss at step {step} (sample {samples[idx].stem})",
-                            diagnostics=_diagnostics(params, step, sample_loss, breakdowns))
-                    sample_losses.append(sample_loss)
-                    for k, val in breakdown.items():
-                        batch_break[k] = batch_break.get(k, 0.0) + val / len(batch)
+            for idx, sample_loss, breakdown in _sample_results(
+                    model, params, helpers, samples, targets, shares, 1.0 / len(batch)):
+                if not math.isfinite(sample_loss):
+                    raise TrainingAborted(
+                        f"non-finite loss at step {step} (sample {samples[idx].stem})",
+                        diagnostics=_diagnostics(params, step, sample_loss, breakdowns))
+                sample_losses.append(sample_loss)
+                for k, val in breakdown.items():
+                    batch_break[k] = batch_break.get(k, 0.0) + val / len(batch)
             loss_val = sum(sample_losses) / len(batch)
             optimizer.step(lr)
 
@@ -380,87 +376,112 @@ def _share_passes(model, samples, targets, share, scale):
             return
 
 
-def _sample_results(model, params, samples, targets, shares, scale):
+def _sample_results(model, params, helpers, samples, targets, shares, scale):
     """Run one step's shares; yield (index, loss, breakdown) in sample order.
 
-    Helpers for shares 1.. are forked first and share 0 runs here. Each
-    helper sample's gradients are added to `params` in sample order, with
-    backward()'s rule, before the sample is yielded, so the sums equal a
-    serial loop's bits. A helper's exception is raised here. On every exit
-    the helpers are reaped; those that have not delivered their whole share
-    are killed first.
+    Shares 1.. and the current parameters go to the run's helpers first,
+    and share 0 runs here. Each helper sample's gradients are added to
+    `params` in sample order, with backward()'s rule, before the sample is
+    yielded, so the sums equal a serial loop's bits. A helper's exception
+    is raised here.
+    """
+    arrays = [p.data for p in params.values()]
+    with contextlib.suppress(BrokenPipeError):  # a dead helper is reported below
+        for (_, commands, _), share in zip(helpers, shares[1:]):
+            pickle.dump((share, scale, arrays), commands, protocol=pickle.HIGHEST_PROTOCOL)
+            commands.flush()
+    yield from _share_passes(model, samples, targets, shares[0], scale)
+    for (pid, _, results), share in zip(helpers, shares[1:]):
+        for _ in share:
+            try:
+                record = pickle.load(results)
+            except (EOFError, pickle.UnpicklingError):
+                raise HelperError(f"training helper {pid} ended without sending "
+                                  "its results") from None
+            if isinstance(record, BaseException):
+                raise record
+            idx, loss, breakdown, grads = record
+            for p, g in zip(params.values(), grads):
+                if g is not None:
+                    p.grad = g if p.grad is None else p.grad + g
+            yield idx, loss, breakdown
+            if not math.isfinite(loss):
+                return
+
+
+@contextlib.contextmanager
+def _step_helpers(model, params, samples, targets, count):
+    """Fork `count` helpers that run shares for a whole run (`_serve`).
+
+    Yields [(pid, commands, results)]. On a normal end the command pipes
+    are closed and each helper leaves at EOF; on any other exit,
+    KeyboardInterrupt included, each is killed first. All are reaped.
     """
     helpers = []
-    pending = set()
+    ended = False
     try:
-        for share in shares[1:]:
-            pid, reader = _fork_share(model, params, samples, targets, share, scale)
-            helpers.append((pid, reader, share))
-            pending.add(pid)
-        yield from _share_passes(model, samples, targets, shares[0], scale)
-        for pid, reader, share in helpers:
-            for _ in share:
-                try:
-                    record = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):
-                    raise HelperError(f"training helper {pid} ended without sending "
-                                      "its results") from None
-                if isinstance(record, BaseException):
-                    raise record
-                idx, loss, breakdown, grads = record
-                for p, g in zip(params, grads):
-                    if g is not None:
-                        p.grad = g if p.grad is None else p.grad + g
-                yield idx, loss, breakdown
-                if not math.isfinite(loss):
-                    return
-            pending.discard(pid)
+        for _ in range(count):
+            cmd_read, cmd_write = os.pipe()
+            res_read, res_write = os.pipe()
+            commands, results = open(cmd_write, "wb"), open(res_read, "rb")
+            # the helper's ends, closed here once it is forked
+            with open(cmd_read, "rb") as helper_in, open(res_write, "wb") as helper_out:
+                pid = os.fork()
+                if not pid:  # the helper: never returns into the caller
+                    try:
+                        commands.close()
+                        results.close()
+                        _serve(model, params, samples, targets, helper_in, helper_out)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            helpers.append((pid, commands, results))
+        yield helpers
+        ended = True
     finally:
-        for pid, reader, _ in helpers:
-            reader.close()
-            if pid in pending:
+        for pid, commands, results in helpers:
+            if not ended:
                 os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(BrokenPipeError):  # a command cut short
+                commands.close()
+            results.close()
+        # a later helper also holds an earlier one's command pipe, so an
+        # earlier helper sees EOF only once every pipe here is closed
+        for pid, _, _ in helpers:
             os.waitpid(pid, 0)
 
 
-def _fork_share(model, params, samples, targets, share, scale):
-    """Fork a helper that runs `share` and pickles one record per sample to a pipe.
+def _serve(model, params, samples, targets, commands, results):
+    """A helper's loop: run each (share, loss scale, parameter arrays) sent on
+    `commands`, from those parameters and zeroed gradients, until it ends.
 
-    A record is (index, loss, breakdown, per-parameter gradients), or the
-    exception that stopped the share. The records are written once the
-    share has run, so the helper never waits on the parent mid-share.
-    Returns (pid, reader).
+    Each sample's record, (index, loss, breakdown, per-parameter gradients),
+    or the exception that stopped the share, goes to `results` once the
+    share has run, so a helper never waits on the caller mid-share.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid:
-        os.close(write_fd)
-        return pid, open(read_fd, "rb")
-    try:  # the helper: never returns into the caller
-        os.close(read_fd)
+    while True:
+        try:
+            share, scale, arrays = pickle.load(commands)
+        except EOFError:
+            return
+        for p, array in zip(params.values(), arrays):
+            p.data, p.grad = array, None
         records = []
         try:
             for idx, loss, breakdown in _share_passes(model, samples, targets, share, scale):
-                grads = [p.grad for p in params]  # all None after a non-finite loss
-                for p in params:
+                grads = [p.grad for p in params.values()]  # all None after a non-finite loss
+                for p in params.values():
                     p.grad = None
                 records.append((idx, loss, breakdown, grads))
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the parent
+        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
             try:
                 pickle.dumps(exc)
             except Exception:  # noqa: BLE001
                 exc = HelperError(f"training helper failed: {type(exc).__name__}: {exc}")
             records.append(exc)
-        with open(write_fd, "wb") as out:
-            for record in records:
-                pickle.dump(record, out, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        os._exit(0)
+        for record in records:
+            pickle.dump(record, results, protocol=pickle.HIGHEST_PROTOCOL)
+        results.flush()
 
 
 def _diagnostics(params, step, loss_val, breakdowns):

@@ -36,6 +36,15 @@ class TestTrainCommand:
         log = (out / "train.log").read_text().splitlines()
         assert len(log) == 3
 
+    def test_train_checkpoint_holds_only_parameters(self, tmp_path, small_cfg_file):
+        out = tmp_path / "run"
+        assert run_cli("train", "--config", str(small_cfg_file), "--out", str(out)) == 0
+        loaded = load_checkpoint(out / "final.ckpt")
+        assert loaded["extra"] == {}  # no Adam moments
+        assert sorted(loaded["meta"]) == ["config_hash", "step"]
+        model = MonoPGCModel(load_config(small_cfg_file))
+        assert sorted(loaded["params"]) == sorted(model.parameters())
+
     def test_train_determinism(self, tmp_path, small_cfg_file):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("train", "--config", str(small_cfg_file), "--out", str(out1)) == 0
@@ -184,6 +193,29 @@ class TestInferCommand:
             assert code == 0
             assert (out / "000000.txt").exists()
         assert (p1 / "000000.txt").read_text() == (p2 / "000000.txt").read_text()
+
+
+    def test_checkpoint_with_adam_arrays_runs(self, tmp_path, small_cfg_file):
+        # the layout `monopgc train` wrote before checkpoints dropped Adam's moments
+        ckpt = self._trained(tmp_path, small_cfg_file)
+        loaded = load_checkpoint(ckpt)
+        moments = {f"adam_{kind}:{name}": np.full_like(array, 0.5)
+                   for name, array in loaded["params"].items() for kind in "mv"}
+        with_adam = tmp_path / "with_adam.ckpt"
+        save_checkpoint(with_adam, loaded["params"], step=loaded["meta"]["step"],
+                        config_hash=loaded["meta"]["config_hash"], extra_arrays=moments,
+                        meta={"adam_t": loaded["meta"]["step"]})
+        assert len(load_checkpoint(with_adam)["extra"]) == 2 * len(loaded["params"])
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        scene = data.generate_synthetic_scene(0, data.SceneConfig(image_size=(48, 48)))
+        data.save_image(imgs / "000000.ppm", scene.image)
+        for name, path in (("plain", ckpt), ("with_adam", with_adam)):
+            code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(path),
+                           "--image-dir", str(imgs), "--out", str(tmp_path / name))
+            assert code == 0
+        assert ((tmp_path / "with_adam" / "000000.txt").read_text()
+                == (tmp_path / "plain" / "000000.txt").read_text())
 
 
 class TestEvalCommand:

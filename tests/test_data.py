@@ -34,6 +34,13 @@ class TestLabelParsing:
         with pytest.raises(ParseError):
             data.parse_kitti_label(CAR_LINE.replace("20.0", "twenty"))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_occlusion(self, token):
+        fields = CAR_LINE.split()
+        fields[2] = token  # the integer occlusion level
+        with pytest.raises(ParseError, match="unparseable number"):
+            data.parse_kitti_label(" ".join(fields))
+
     def test_score_column(self):
         obj = data.parse_kitti_label(CAR_LINE + " 0.87")
         assert obj.score == pytest.approx(0.87)
@@ -94,6 +101,11 @@ class TestPpmCodec:
     def test_truncated_rejected(self):
         with pytest.raises(FormatError, match="truncated"):
             data.decode_ppm(b"P6\n2 2\n255\n\xff\xff")
+
+    @pytest.mark.parametrize("size", [b"0 -1", b"-1 0", b"-2 -3"])
+    def test_negative_size_rejected(self, size):
+        with pytest.raises(FormatError, match="negative PPM size"):
+            data.decode_ppm(b"P6\n" + size + b"\n255\n\xff\xff\xff\xff\xff\xff")
 
     def test_comment_in_header(self):
         raw = b"P6\n# a comment\n1 1\n255\n\x00\x80\xff"

@@ -129,6 +129,13 @@ class TestBackProjection:
         with pytest.raises(CalibrationError):
             geo.CameraCalibration(k, np.eye(4))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected_at_load(self, entry):
+        k = np.eye(4)
+        k[0, 3] = entry
+        with pytest.raises(CalibrationError):
+            geo.CameraCalibration(k, np.eye(4))
+
 
 class TestNormalizeGrid:
     def test_extremes_and_midpoint(self):

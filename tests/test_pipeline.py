@@ -1,6 +1,7 @@
 import contextlib
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -29,10 +30,11 @@ def small_config(**kw):
     return replace(SMALL, **kw)
 
 
-def _first_batch_stems(cfg):
-    """Stems of the first step's batch, in order, drawn the way train() draws it."""
-    batch = np.random.default_rng(cfg.seed + 1).choice(
-        cfg.scenes, size=min(cfg.batch_size, cfg.scenes), replace=False)
+def _batch_stems(cfg, step=0):
+    """Stems of a step's batch, in order, drawn the way train() draws it."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    for _ in range(step + 1):
+        batch = rng.choice(cfg.scenes, size=min(cfg.batch_size, cfg.scenes), replace=False)
     return [f"{i:06d}" for i in batch]
 
 
@@ -206,7 +208,7 @@ class TestTraining:
         cfg = small_config()
         # keyed on the sample, not on a call count: a forked helper's calls
         # do not reach this process
-        _plant(monkeypatch, _first_batch_stems(cfg)[-1],  # the last sample of the first step
+        _plant(monkeypatch, _batch_stems(cfg)[-1],  # the last sample of the first step
                lambda total: total * float("nan"))
         model = MonoPGCModel(cfg)
         before = {name: p.data.copy() for name, p in model.parameters().items()}
@@ -234,7 +236,7 @@ class TestTraining:
 
 
 class TestSplitStep:
-    """A step's samples cut into 1, 2 or 3 shares; shares 1.. run in forked helpers."""
+    """A step's samples cut into 1, 2 or 3 shares; shares 1.. run in helpers forked per run."""
 
     CFG = dict(scenes=5, batch_size=5, steps=2)  # shares of 5, 3+2 and 2+2+1 samples
 
@@ -250,6 +252,34 @@ class TestSplitStep:
     @staticmethod
     def _grads(model):
         return {name: p.grad for name, p in model.parameters().items()}
+
+    @staticmethod
+    def _from_step_1(model, effect):
+        """`effect`, applied once `model`'s parameters have left their initial
+        values: from step 1 on, and in a helper only if it is sent them."""
+        start = {name: p.data.copy() for name, p in model.parameters().items()}
+
+        def apply(total):
+            moved = any(not np.array_equal(p.data, start[name])
+                        for name, p in model.parameters().items())
+            return effect(total) if moved else total
+
+        return apply
+
+    @staticmethod
+    def _record_forks(monkeypatch):
+        """Patch os.fork to list, in this process, the pid of each helper forked."""
+        pids = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return pids
 
     def _assert_same_grads(self, got, want):
         assert sum(g is not None for g in want.values()) > 10
@@ -278,7 +308,7 @@ class TestSplitStep:
 
     def test_nonfinite_loss_in_helper_aborts_with_earlier_gradients(self, monkeypatch):
         cfg = small_config(**self.CFG)
-        bad = _first_batch_stems(cfg)[-1]  # the second sample of the helper's share
+        bad = _batch_stems(cfg)[-1]  # the second sample of the helper's share
         _plant(monkeypatch, bad, lambda total: total * float("nan"))
         partial = {}
         for n in (1, 2):
@@ -293,6 +323,47 @@ class TestSplitStep:
             partial[n] = self._grads(model)
         # every earlier sample's gradient is merged, as in the serial loop
         self._assert_same_grads(partial[2], partial[1])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_helpers_live_for_the_run_and_leave_at_eof(self, monkeypatch, n):
+        forks = self._record_forks(monkeypatch)
+        statuses, kills = {}, []
+        real_waitpid, real_kill = os.waitpid, os.kill
+
+        def waitpid(pid, options):
+            reaped = real_waitpid(pid, options)
+            statuses[reaped[0]] = os.waitstatus_to_exitcode(reaped[1])
+            return reaped
+
+        def kill(pid, sig):
+            kills.append(pid)
+            real_kill(pid, sig)
+
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        monkeypatch.setattr(os, "kill", kill)
+        self._shares(monkeypatch, n)
+        result, _ = train(small_config(**dict(self.CFG, steps=3)))
+        assert len(result.log_lines) == 3
+        assert len(forks) == n - 1  # once per run, not once per step
+        assert kills == []
+        assert statuses == {pid: 0 for pid in forks}  # each left at EOF, unkilled
+        self._assert_no_child()
+
+    def test_nonfinite_loss_in_helper_at_a_later_step(self, monkeypatch):
+        cfg = small_config(**self.CFG)
+        bad = _batch_stems(cfg, step=1)[-1]  # in the helper's share at step 1
+        after_step_0 = {}
+        for n in (1, 2):
+            with monkeypatch.context() as patch:
+                self._shares(patch, n)
+                model = MonoPGCModel(cfg)
+                _plant(patch, bad, self._from_step_1(model, lambda total: total * float("nan")))
+                with pytest.raises(TrainingAborted, match=f"step 1 \\(sample {bad}\\)"):
+                    train(cfg, model=model)
+            self._assert_no_child()
+            after_step_0[n] = {name: p.data for name, p in model.parameters().items()}
+        for name, data in after_step_0[1].items():
+            np.testing.assert_array_equal(after_step_0[2][name], data, err_msg=name)
 
     def test_processes_only_with_blas_pinned(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
@@ -328,7 +399,7 @@ class TestSplitStep:
         def fail(total):
             raise DimensionError("planted in the helper")
 
-        _plant(monkeypatch, _first_batch_stems(cfg)[-1], fail)
+        _plant(monkeypatch, _batch_stems(cfg)[-1], fail)
         self._shares(monkeypatch, 2)
         with pytest.raises(DimensionError, match="planted in the helper"):
             train(cfg)
@@ -343,10 +414,40 @@ class TestSplitStep:
                 os._exit(1)
             return total
 
-        _plant(monkeypatch, _first_batch_stems(cfg)[-1], die)
+        _plant(monkeypatch, _batch_stems(cfg)[-1], die)
         self._shares(monkeypatch, 2)
         with pytest.raises(HelperError, match="without sending its results"):
             train(cfg)
+        self._assert_no_child()
+
+    def test_helper_that_dies_at_a_later_step_is_a_typed_error(self, monkeypatch):
+        cfg = small_config(**self.CFG)
+        model = MonoPGCModel(cfg)
+        parent = os.getpid()
+
+        def die(total):
+            if os.getpid() != parent:
+                os._exit(1)
+            return total
+
+        _plant(monkeypatch, _batch_stems(cfg, step=1)[-1], self._from_step_1(model, die))
+        self._shares(monkeypatch, 2)
+        logged = []
+        with pytest.raises(HelperError, match="without sending its results"):
+            train(cfg, model=model, log_fn=logged.append)
+        assert len(logged) == 1
+        self._assert_no_child()
+
+    def test_helper_killed_between_steps_is_a_typed_error(self, monkeypatch):
+        forks = self._record_forks(monkeypatch)
+        self._shares(monkeypatch, 2)
+
+        def kill_helper(line):  # after step 0; wait for its exit, leave it unreaped
+            os.kill(forks[0], signal.SIGKILL)
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+
+        with pytest.raises(HelperError, match="without sending its results"):
+            train(small_config(**self.CFG), log_fn=kill_helper)
         self._assert_no_child()
 
     def test_interrupt_kills_and_reaps_the_helpers(self, monkeypatch):
@@ -358,7 +459,7 @@ class TestSplitStep:
                 raise KeyboardInterrupt
             return total
 
-        _plant(monkeypatch, _first_batch_stems(cfg)[0], interrupt)  # share 0 runs here
+        _plant(monkeypatch, _batch_stems(cfg)[0], interrupt)  # share 0 runs here
         self._shares(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
             train(cfg)
