@@ -48,6 +48,7 @@ print("\ndeterminism: regenerating with the same seed is bit-identical:",
 
 # round trip through the file formats
 data.scene_to_files(scene, "0007", out_dir / "image_2", out_dir / "label_2", out_dir / "calib")
-sample = data.load_kitti_sample("0007", out_dir / "image_2", out_dir / "label_2", out_dir / "calib")
-print(f"file round trip: {len(sample.objects)} objects, "
-      f"fx={sample.calib.fx:.1f}, image {sample.image.shape}")
+image = data.load_image(out_dir / "image_2" / "0007.ppm")
+objects = data.read_label_file(out_dir / "label_2" / "0007.txt")
+calib = data.read_calib_file(out_dir / "calib" / "0007.txt")
+print(f"file round trip: {len(objects)} objects, fx={calib.fx:.1f}, image {image.shape}")

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a check or evaluation mismatch, 2 configuration or
 usage errors, 3 training aborted on a non-finite loss. Ablation toggles
 (--no-dcpm, --no-dsat, --pe) mirror the module on/off study rows.
+
+Kitti-mode `train` and `infer` read every input through `_load_samples`
+before they write anything; without a calibration directory each image
+takes the synthetic camera, `data.synthetic_calibration`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ from pathlib import Path
 from . import evaluation as ev
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .data import load_image, write_label_file
+from .data import (Sample, load_image, read_calib_file, read_label_file,
+                   synthetic_calibration, write_label_file)
 from .dsat import PE_KINDS
 from .errors import ConfigError, MonoPGCError
 from .head import detection_bbox2d, detection_to_label
@@ -94,19 +99,14 @@ def cmd_train(args):
         if cfg.label_dir and not cfg.calib_dir:
             raise ConfigError("kitti mode with data.label_dir needs data.calib_dir: "
                               "training targets are the labels projected through the calibration")
-    samples = _load_kitti_samples(cfg) if cfg.mode == "kitti" else None
+    samples = (_load_samples(cfg, cfg.image_dir, cfg.label_dir, cfg.calib_dir)
+               if cfg.mode == "kitti" else None)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     log_path = out_dir / "train.log"
-    lines = []
-
-    def log(line):
-        lines.append(line)
-        print(line)
-
     try:
-        result, _ = train(cfg, samples=samples, log_fn=log)
+        result, _ = train(cfg, samples=samples, log_fn=print)
     except TrainingAborted as exc:
         dump = out_dir / "nan_dump.txt"
         dump.write_text(exc.diagnostics + "\n")
@@ -130,15 +130,18 @@ def _check_image_size(cfg, path, image):
                           f"data.image_width is {cfg.image_height}x{cfg.image_width}")
 
 
-def _load_kitti_samples(cfg):
-    from .data import load_kitti_sample
-
+def _load_samples(cfg, image_dir, label_dir, calib_dir):
+    """Every `*.ppm` of image_dir, in stem order, as a size-checked Sample with
+    its `<stem>.txt` calibration (the synthetic camera without calib_dir) and,
+    with label_dir, its `<stem>.txt` labels."""
     samples = []
-    for stem in sorted(p.stem for p in Path(cfg.image_dir).glob("*.ppm")):
-        sample = load_kitti_sample(stem, cfg.image_dir, cfg.label_dir or None,
-                                   cfg.calib_dir or None)
-        _check_image_size(cfg, Path(cfg.image_dir) / f"{stem}.ppm", sample.image)
-        samples.append(sample)
+    for path in sorted(Path(image_dir).glob("*.ppm"), key=lambda p: p.stem):
+        image = load_image(path)
+        _check_image_size(cfg, path, image)
+        calib = (read_calib_file(Path(calib_dir) / f"{path.stem}.txt") if calib_dir
+                 else synthetic_calibration(*cfg.image_hw))
+        objects = read_label_file(Path(label_dir) / f"{path.stem}.txt") if label_dir else None
+        samples.append(Sample(image=image, calib=calib, objects=objects, stem=path.stem))
     return samples
 
 
@@ -152,25 +155,10 @@ def cmd_infer(args):
     model = MonoPGCModel(cfg)
     model.load_state(loaded["params"])
 
-    images = sorted(Path(args.image_dir).glob("*.ppm"))
-    if not images:
+    samples = _load_samples(cfg, args.image_dir, None, args.calib_dir)
+    if not samples:
         print("warning: no .ppm images found, nothing to do", file=sys.stderr)
         return EXIT_OK
-
-    from .data import Sample, read_calib_file
-    from .geometry import CameraCalibration
-
-    # load and check every input first: a bad one must leave no partial output
-    samples = []
-    for path in images:
-        image = load_image(path)
-        _check_image_size(cfg, path, image)
-        if args.calib_dir:
-            calib = read_calib_file(Path(args.calib_dir) / f"{path.stem}.txt")
-        else:
-            h, w = image.shape[1:]
-            calib = CameraCalibration.from_pinhole(1.1 * w, 1.1 * w, w / 2.0, h / 2.0)
-        samples.append(Sample(image=image, calib=calib, stem=path.stem))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,7 +171,7 @@ def cmd_infer(args):
             lbl.bbox2d = detection_bbox2d(det, sample.calib, sample.image.shape[1:])
             labels.append(lbl)
         write_label_file(out_dir / f"{sample.stem}.txt", labels, include_score=True)
-    print(f"wrote {len(images)} prediction files to {out_dir}")
+    print(f"wrote {len(samples)} prediction files to {out_dir}")
     return EXIT_OK
 
 

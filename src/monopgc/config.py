@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
+from .dcpm import FEATURE_STRIDE, PPM_SCALES
 from .dsat import PE_KINDS
 from .errors import ConfigError
 from .geometry import DepthBinSpec
@@ -78,7 +79,7 @@ class RunConfig:
 
     @property
     def feature_hw(self):
-        return (self.image_height // 4, self.image_width // 4)
+        return (self.image_height // FEATURE_STRIDE, self.image_width // FEATURE_STRIDE)
 
     @property
     def grid_hw(self):
@@ -100,6 +101,11 @@ class RunConfig:
             raise ConfigError(f"model.pe={self.pe} needs the depth prediction: enable dcpm")
         if self.image_height % 16 or self.image_width % 16:
             raise ConfigError(f"image size {self.image_hw} must be divisible by 16")
+        min_side = 16 * max(PPM_SCALES)  # pyramid pooling of the 1/16 level
+        if self.use_dcpm and min(self.image_hw) < min_side:
+            raise ConfigError(
+                f"data.image_height x data.image_width is {self.image_height}x{self.image_width}, "
+                f"but the fusion module needs at least {min_side}x{min_side} (or model.dcpm=off)")
         if self.image_height % self.grid_stride or self.image_width % self.grid_stride:
             raise ConfigError(f"image size {self.image_hw} not divisible by grid stride {self.grid_stride}")
         if self.channels % 4:

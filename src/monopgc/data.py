@@ -48,7 +48,7 @@ class LabeledObject:
         h = self.dimensions[0]
         return (x, y - h / 2.0, z)
 
-    def bev_footprint(self):
+    def bev_box(self):
         """(cx, cz, l, w, yaw) of the ground-plane rectangle."""
         x, _, z = self.location
         h, w, l = self.dimensions
@@ -157,6 +157,13 @@ def read_calib_file(path):
     return parse_kitti_calib(Path(path).read_text())
 
 
+def synthetic_calibration(height, width):
+    """The camera of synthetic scenes, and of images without a calibration
+    file: focal length 1.1 x width, principal point at the image centre."""
+    focal = 1.1 * width
+    return CameraCalibration.from_pinhole(focal, focal, width / 2.0, height / 2.0)
+
+
 def format_kitti_calib(calib):
     p2 = " ".join(f"{v:.12e}" for v in calib.k_intrinsic[:3, :].reshape(-1))
     return f"P2: {p2}\n"
@@ -245,7 +252,6 @@ class SceneConfig:
     lateral_fraction: float = 0.8      # fraction of the frustum used laterally
     dims_range: tuple = ((1.3, 1.9), (1.5, 1.9), (3.2, 4.4))  # (h, w, l) ranges
     ground_y: tuple = (1.1, 1.7)       # bottom-face height band, camera y (down)
-    focal_scale: float = 1.1           # focal = focal_scale * image width
     max_attempts: int = 200
     max_overlap: float = 0.15          # projected-box overlap gate (occlusion 0)
     background_depth: float = 46.8     # supervision depth for empty pixels
@@ -305,8 +311,7 @@ def generate_synthetic_scene(seed, config=None):
     cfg = config or SceneConfig()
     rng = np.random.default_rng(seed)
     height, width = cfg.image_size
-    focal = cfg.focal_scale * width
-    calib = CameraCalibration.from_pinhole(focal, focal, width / 2.0, height / 2.0)
+    calib = synthetic_calibration(height, width)
 
     n_objects = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
     objects = []
@@ -321,7 +326,7 @@ def generate_synthetic_scene(seed, config=None):
         # inverse-depth sampling: projected sizes spread evenly, so several
         # objects pack into the frame without hiding each other
         z = 1.0 / rng.uniform(1.0 / cfg.depth_range[1], 1.0 / cfg.depth_range[0])
-        half_span = cfg.lateral_fraction * z * (width / 2.0) / focal
+        half_span = cfg.lateral_fraction * z * (width / 2.0) / calib.fx
         x = rng.uniform(-half_span, half_span)
         y = rng.uniform(*cfg.ground_y)
         dims = tuple(rng.uniform(lo, hi) for lo, hi in cfg.dims_range)
@@ -449,10 +454,3 @@ class Sample:
 def sample_from_scene(scene, stem=""):
     return Sample(image=scene.image, calib=scene.calib, objects=scene.objects,
                   depth_map=scene.depth_map, foreground=scene.foreground, stem=stem)
-
-
-def load_kitti_sample(stem, image_dir, label_dir=None, calib_dir=None):
-    image = load_image(Path(image_dir) / f"{stem}.ppm")
-    calib = read_calib_file(Path(calib_dir) / f"{stem}.txt") if calib_dir else None
-    objects = read_label_file(Path(label_dir) / f"{stem}.txt") if label_dir else None
-    return Sample(image=image, calib=calib, objects=objects, stem=stem)

@@ -24,6 +24,8 @@ from .errors import ConfigError, DimensionError, DomainError
 from .numerics import Tensor
 
 PPM_SCALES = (1, 2, 3, 6)
+# input pixels per cell of the 1/4 level, which the depth and detection heads read
+FEATURE_STRIDE = 4
 
 
 @dataclass
@@ -189,12 +191,12 @@ def predict_depth_distribution(f_dcp, params):
 IGNORE_BIN = -1
 
 
-def depth_focal_loss(pred, gt_bins, fg_mask, gamma=2.0, alpha_fg=1.0, alpha_bg=0.25):
+def depth_focal_loss(pred, gt_bins, fg_mask, alpha_fg=1.0, alpha_bg=0.25):
     """Multiclass focal loss over depth bins, foreground-weighted.
 
     gt_bins: integer array [H, W] in [0, D-1], or IGNORE_BIN to skip a pixel.
     fg_mask: array [H, W], nonzero on foreground object pixels. The loss is
-    -alpha_px (1 - p_t)^gamma log(p_t) averaged over supervised pixels.
+    -alpha_px (1 - p_t)^2 log(p_t) averaged over supervised pixels.
     """
     d, h, w = pred.probabilities.shape
     gt = np.asarray(gt_bins)
@@ -215,16 +217,9 @@ def depth_focal_loss(pred, gt_bins, fg_mask, gamma=2.0, alpha_fg=1.0, alpha_bg=0
     p_t = (pred.probabilities * Tensor(onehot)).sum(axis=0) + Tensor((~valid).astype(np.float64))
     fg = np.asarray(fg_mask).astype(bool)
     weights = np.where(fg, alpha_fg, alpha_bg) * valid
-    focal = (1.0 - p_t) * (1.0 - p_t) if gamma == 2.0 else _focal_pow(p_t, gamma)
+    focal = (1.0 - p_t) * (1.0 - p_t)
     per_pixel = focal * (nm.log(p_t) * -1.0)
     return (per_pixel * Tensor(weights)).sum() * (1.0 / n_valid)
-
-
-def _focal_pow(p_t, gamma):
-    base = 1.0 - p_t
-    # (1-p)^gamma via exp(gamma*log(1-p)); clamp away from log(0) by the
-    # observation that p_t < 1 strictly under softmax
-    return nm.exp(nm.log(base) * gamma)
 
 
 def depth_accuracy_within(pred, gt_bins, fg_mask, tolerance=1):

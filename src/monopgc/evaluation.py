@@ -10,13 +10,14 @@ calls into the same batched code.
 Evaluation builds one `PairTable` per (image, class): the detections sorted
 by descending score, the ground-truth difficulty labels, and the 3D and BEV
 IoU matrices [P, G], both derived from one BEV-intersection matrix plus the
-vertical overlap. Every (detection, ground truth) pair of every image is
-clipped exactly once, in one batched pass, and every metric and difficulty
-bucket reads the same tables through one greedy detection-major matching
-routine. AP follows the 40-recall-point interpolated-precision definition,
-with the standard convention that ground truths outside the evaluated
-difficulty bucket are ignored: they neither count as misses nor turn their
-matches into false positives.
+vertical overlap (`_pair_ious`, which `iou_3d` also calls for one pair).
+Every (detection, ground truth) pair of every image is clipped exactly
+once, in one batched pass, and every metric and difficulty bucket reads
+the same tables through one greedy detection-major matching routine. AP
+follows the 40-recall-point interpolated-precision definition, with the
+standard convention that ground truths outside the evaluated difficulty
+bucket are ignored: they neither count as misses nor turn their matches
+into false positives.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ import numpy as np
 
 from .data import read_label_file
 from .errors import DomainError, EvaluationError
-from .head import detection_from_label
+from .head import DEFAULT_CLASSES, detection_from_label
 
 DIFFICULTIES = ("easy", "moderate", "hard")
 METRICS = ("3d", "bev")
-# the classes evaluate_all and format_report cover
-CLASSES = ("Car", "Pedestrian", "Cyclist")
 RECALL_POINTS = 40
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -70,13 +69,11 @@ class BevBox:
 
 
 def bev_box_of(obj):
-    """BevBox from anything exposing bev_box()/bev_footprint()."""
+    """BevBox from anything exposing bev_box()."""
     if isinstance(obj, BevBox):
         return obj
     if hasattr(obj, "bev_box"):
         return BevBox(*obj.bev_box())
-    if hasattr(obj, "bev_footprint"):
-        return BevBox(*obj.bev_footprint())
     raise TypeError(f"cannot derive a BEV box from {type(obj).__name__}")
 
 
@@ -229,15 +226,25 @@ def rasterized_bev_iou(a, b, resolution=500):
 
 def iou_3d(a, b):
     """Volume IoU for upright boxes: BEV intersection times vertical overlap."""
-    inter_area = bev_intersection_area(a, b)
-    ya0, ya1 = a.vertical_range()
-    yb0, yb1 = b.vertical_range()
-    overlap = max(0.0, min(ya1, yb1) - max(ya0, yb0))
-    inter = inter_area * overlap
-    vol_a = bev_box_of(a).area * (ya1 - ya0)
-    vol_b = bev_box_of(b).area * (yb1 - yb0)
-    union = vol_a + vol_b - inter
-    return inter / union if union > 0 else 0.0
+    return float(_pair_ious([a, b], np.array([0]), np.array([1]))["3d"][0])
+
+
+def _pair_ious(boxes, i, j):
+    """{"bev", "3d"}: IoU arrays of the box pairs (boxes[i[k]], boxes[j[k]]).
+
+    The boxes expose bev_box() and vertical_range(). All pairs are clipped
+    in one batched pass; the 3D intersection is the BEV one times the
+    vertical overlap.
+    """
+    params = _box_params([bev_box_of(box) for box in boxes])
+    inter = _pair_intersections(params, i, j)
+    vertical = np.array([box.vertical_range() for box in boxes], dtype=np.float64).reshape(-1, 2)
+    area = params[:, 2] * params[:, 3]
+    area_a, area_b = area[i], area[j]
+    (ya0, ya1), (yb0, yb1) = vertical[i].T, vertical[j].T
+    inter_3d = inter * np.maximum(0.0, np.minimum(ya1, yb1) - np.maximum(ya0, yb0))
+    return {"bev": _ratio(inter, area_a, area_b),
+            "3d": _ratio(inter_3d, area_a * (ya1 - ya0), area_b * (yb1 - yb0))}
 
 
 # -- difficulty ----------------------------------------------------------------------
@@ -317,16 +324,8 @@ def build_pair_tables(predictions, ground_truth, classes):
         for p in range(first, first + n_det):
             pair_i.extend([p] * n_gt)
             pair_j.extend(range(first + n_det, first + n_det + n_gt))
-    pair_i, pair_j = np.array(pair_i, dtype=np.intp), np.array(pair_j, dtype=np.intp)
-    params = _box_params([bev_box_of(box) for box in boxes])
-    inter = _pair_intersections(params, pair_i, pair_j)
-    vertical = np.array([box.vertical_range() for box in boxes], dtype=np.float64).reshape(-1, 2)
-    area = params[:, 2] * params[:, 3]
-    area_d, area_g = area[pair_i], area[pair_j]
-    (yd0, yd1), (yg0, yg1) = vertical[pair_i].T, vertical[pair_j].T
-    inter_3d = inter * np.maximum(0.0, np.minimum(yd1, yg1) - np.maximum(yd0, yg0))
-    ious = {"bev": _ratio(inter, area_d, area_g).tolist(),
-            "3d": _ratio(inter_3d, area_d * (yd1 - yd0), area_g * (yg1 - yg0)).tolist()}
+    ious = {metric: values.tolist() for metric, values in _pair_ious(
+        boxes, np.array(pair_i, dtype=np.intp), np.array(pair_j, dtype=np.intp)).items()}
 
     start = 0
     for table, _, n_det, n_gt in spans:
@@ -418,10 +417,10 @@ def evaluate_all(predictions, ground_truth, config=None):
     The pair tables are built once and shared by all the buckets.
     """
     config = config or EvalConfig()
-    tables = build_pair_tables(predictions, ground_truth, CLASSES)
+    tables = build_pair_tables(predictions, ground_truth, DEFAULT_CLASSES)
     results = {}
     for metric in METRICS:
-        for cls in CLASSES:
+        for cls in DEFAULT_CLASSES:
             for diff in BUCKETS:
                 ap = _bucket_ap(tables[cls], config, metric, diff, cls)
                 results[(metric, cls, diff)] = None if ap is None else 100.0 * ap
@@ -436,7 +435,7 @@ def format_report(results):
         lines.append(f"AP40 ({metric.upper()}, percent)")
         header = f"{'class':<12}" + "".join(f"{d:>10}" for d in BUCKETS)
         lines.append(header)
-        for cls in CLASSES:
+        for cls in DEFAULT_CLASSES:
             row = f"{cls:<12}"
             for diff in BUCKETS:
                 val = results.get((metric, cls, diff))

@@ -98,13 +98,11 @@ def lid_bin_to_depth(spec: DepthBinSpec, i) -> float:
     """Depth of bin edge i, for i in [0, bins]; strictly increasing in i."""
     if not 0 <= i <= spec.bins:
         raise DomainError(f"edge index {i} outside [0, {spec.bins}]")
-    d = spec.bins
-    return spec.d_min + (spec.d_max - spec.d_min) / (d * (d + 1)) * i * (i + 1)
+    return _edges_at(spec, i)
 
 
 def lid_edges(spec: DepthBinSpec) -> np.ndarray:
-    i = np.arange(spec.bins + 1, dtype=np.float64)
-    return spec.d_min + (spec.d_max - spec.d_min) / (spec.bins * (spec.bins + 1)) * i * (i + 1)
+    return _edges_at(spec, np.arange(spec.bins + 1, dtype=np.float64))
 
 
 def lid_centers(spec: DepthBinSpec) -> np.ndarray:
@@ -135,6 +133,7 @@ def depth_to_lid_bin(spec: DepthBinSpec, depth):
 
 
 def _edges_at(spec, i):
+    """Depth of edge i (scalar or array): d_min + (d_max - d_min) i(i+1) / (D(D+1))."""
     return spec.d_min + (spec.d_max - spec.d_min) / (spec.bins * (spec.bins + 1)) * i * (i + 1)
 
 

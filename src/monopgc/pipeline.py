@@ -5,12 +5,14 @@ transformer, and head modules. Toggles map to the ablation rows: without
 the fusion module the 1/4 backbone level feeds the rest directly (and there
 is no depth supervision); without the transformer the decoder is bypassed
 and a non-trivial positional encoding, if any, is added to the features.
+Targets and decoding use the stride of that level, `dcpm.FEATURE_STRIDE`.
 
 With OpenBLAS pinned to one thread, training splits each step's samples
 across the CPUs: helper processes forked once per run are sent the current
 parameters each step, run all but the first share and send back per-sample
 gradients, which are summed in sample order, so a run gives the same bits
-on any number of CPUs (see `train`).
+on any number of CPUs (see `train`). Each helper leaves once it has sent
+the last step's results.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import dcpm, dsat, head as head_mod, numerics as nm
 from .data import SceneConfig, generate_synthetic_scene, sample_from_scene
-from .dcpm import IGNORE_BIN
+from .dcpm import FEATURE_STRIDE, IGNORE_BIN
 from .errors import ConfigError, EvaluationError, HelperError
 from .geometry import build_normalized_grid, depth_to_lid_bin
 from .numerics import Tensor
@@ -135,7 +137,7 @@ class MonoPGCModel:
         cfg = self.config
         return head_mod.decode_detections(
             outputs["maps"], calib, score_threshold=cfg.score_threshold,
-            top_k=cfg.top_k, stride=4, classes=cfg.classes,
+            top_k=cfg.top_k, stride=FEATURE_STRIDE, classes=cfg.classes,
             uncertainty_discount=cfg.uncertainty_discount)
 
 
@@ -145,13 +147,14 @@ class MonoPGCModel:
 def build_targets(sample, config):
     """Detection and depth-supervision targets for one sample."""
     targets = head_mod.render_targets(sample.objects, sample.calib,
-                                      config.feature_hw, stride=4,
+                                      config.feature_hw, stride=FEATURE_STRIDE,
                                       classes=config.classes)
     spec = config.bin_spec()
     fh, fw = config.feature_hw
     if sample.depth_map is not None:
-        rows = np.minimum(np.arange(fh) * 4 + 2, sample.depth_map.shape[0] - 1)
-        cols = np.minimum(np.arange(fw) * 4 + 2, sample.depth_map.shape[1] - 1)
+        center = FEATURE_STRIDE // 2  # each cell's centre pixel
+        rows = np.minimum(np.arange(fh) * FEATURE_STRIDE + center, sample.depth_map.shape[0] - 1)
+        cols = np.minimum(np.arange(fw) * FEATURE_STRIDE + center, sample.depth_map.shape[1] - 1)
         depth = sample.depth_map.data[np.ix_(rows, cols)]
         targets["gt_bins"] = depth_to_lid_bin(spec, np.clip(depth, spec.d_min, spec.d_max))
         if sample.foreground is not None:
@@ -166,7 +169,7 @@ def build_targets(sample, config):
         order = sorted((o for o in sample.objects if not o.ignorable),
                        key=lambda o: -o.location[2])
         for obj in order:  # nearer objects overwrite farther ones
-            left, top, right, bottom = (v / 4.0 for v in obj.bbox2d)
+            left, top, right, bottom = (v / FEATURE_STRIDE for v in obj.bbox2d)
             c0, c1 = max(0, int(left)), min(fw, int(math.ceil(right)))
             r0, r1 = max(0, int(top)), min(fh, int(math.ceil(bottom)))
             if c1 <= c0 or r1 <= r0:
@@ -271,7 +274,8 @@ def train(config, samples=None, log_fn=None, model=None):
     pinned to one thread, else one share (at most one share per sample; see
     `_step_processes`). The first share runs here; every other share runs
     in a helper process forked once for the run, which is sent the current
-    parameters each step and sends back each sample's loss and gradients.
+    parameters each step, sends back each sample's loss and gradients, and
+    leaves after the last step.
     Per sample, forward, loss (checked finite) and backward run in turn, so
     one tape is alive per process. Gradients are summed in sample order
     with the rule backward() uses, so losses, logs and parameters do not
@@ -301,7 +305,8 @@ def train(config, samples=None, log_fn=None, model=None):
         warnings.simplefilter("ignore", UserWarning)  # helpers forked below inherit it
         # A step that ends early (a non-finite loss, an exception) ends the
         # run and its helpers, so no record of it can reach a later step.
-        helpers = run.enter_context(_step_helpers(model, params, samples, targets, n_shares - 1))
+        helpers = run.enter_context(
+            _step_helpers(model, params, samples, targets, n_shares - 1, total_steps))
         for step in range(total_steps):
             lr = one_cycle_lr(step, total_steps, config.lr_initial, config.lr_peak,
                               config.warmup_fraction)
@@ -410,12 +415,12 @@ def _sample_results(model, params, helpers, samples, targets, shares, scale):
 
 
 @contextlib.contextmanager
-def _step_helpers(model, params, samples, targets, count):
-    """Fork `count` helpers that run shares for a whole run (`_serve`).
+def _step_helpers(model, params, samples, targets, count, steps):
+    """Fork `count` helpers that each run one share of each of `steps` steps (`_serve`).
 
-    Yields [(pid, commands, results)]. On a normal end the command pipes
-    are closed and each helper leaves at EOF; on any other exit,
-    KeyboardInterrupt included, each is killed first. All are reaped.
+    Yields [(pid, commands, results)]. On a normal end each helper has left
+    after its last step; on any other exit, KeyboardInterrupt included,
+    each is killed first. All are reaped.
     """
     helpers = []
     ended = False
@@ -431,7 +436,7 @@ def _step_helpers(model, params, samples, targets, count):
                     try:
                         commands.close()
                         results.close()
-                        _serve(model, params, samples, targets, helper_in, helper_out)
+                        _serve(model, params, samples, targets, steps, helper_in, helper_out)
                         os._exit(0)
                     finally:
                         os._exit(1)
@@ -445,25 +450,20 @@ def _step_helpers(model, params, samples, targets, count):
             with contextlib.suppress(BrokenPipeError):  # a command cut short
                 commands.close()
             results.close()
-        # a later helper also holds an earlier one's command pipe, so an
-        # earlier helper sees EOF only once every pipe here is closed
-        for pid, _, _ in helpers:
             os.waitpid(pid, 0)
 
 
-def _serve(model, params, samples, targets, commands, results):
-    """A helper's loop: run each (share, loss scale, parameter arrays) sent on
-    `commands`, from those parameters and zeroed gradients, until it ends.
+def _serve(model, params, samples, targets, steps, commands, results):
+    """A helper's loop: for each of `steps` steps, run the (share, loss scale,
+    parameter arrays) sent on `commands`, from those parameters and zeroed
+    gradients.
 
     Each sample's record, (index, loss, breakdown, per-parameter gradients),
     or the exception that stopped the share, goes to `results` once the
     share has run, so a helper never waits on the caller mid-share.
     """
-    while True:
-        try:
-            share, scale, arrays = pickle.load(commands)
-        except EOFError:
-            return
+    for _ in range(steps):
+        share, scale, arrays = pickle.load(commands)
         for p, array in zip(params.values(), arrays):
             p.data, p.grad = array, None
         records = []

@@ -89,6 +89,33 @@ class TestTrainCommand:
         assert "000004.txt does not exist" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_kitti_without_calib_trains_with_the_synthetic_camera(self, tmp_path):
+        images = tmp_path / "image"
+        images.mkdir()
+        for seed in (4, 3):
+            scene = data.generate_synthetic_scene(seed, data.SceneConfig(image_size=(48, 48)))
+            data.save_image(images / f"{seed:06d}.ppm", scene.image)
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text(SMALL_CFG + f"run.mode=kitti\ndata.image_dir={images}\noptim.steps=1\n")
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+        assert len((out / "train.log").read_text().splitlines()) == 1
+        samples = cli._load_samples(load_config(cfg), images, "", "")
+        assert [s.stem for s in samples] == ["000003", "000004"]
+        camera = data.synthetic_calibration(48, 48)
+        for sample in samples:
+            np.testing.assert_array_equal(sample.calib.k_intrinsic, camera.k_intrinsic)
+            np.testing.assert_array_equal(sample.calib.k_extrinsic, camera.k_extrinsic)
+
+    def test_image_too_small_for_fusion_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CFG.replace("model.dcpm=off\nmodel.pe=ape\n", ""))
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "data.image_height" in err and "data.image_width" in err
+        assert not out.exists()
+
     def test_kitti_image_size_mismatch_exit_2(self, tmp_path, capsys):
         scene = data.generate_synthetic_scene(3, data.SceneConfig(image_size=(64, 64)))
         dirs = {name: tmp_path / name for name in ("image", "label", "calib")}
@@ -167,6 +194,21 @@ class TestInferCommand:
                        "--out", str(tmp_path / "p"))
         assert code == 2
         assert "000000.txt does not exist" in capsys.readouterr().err
+
+    def test_wrong_size_message_matches_kitti_train(self, tmp_path, small_cfg_file, capsys):
+        ckpt = self._init_checkpoint(tmp_path, small_cfg_file)
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        data.save_image(imgs / "000000.ppm", np.zeros((3, 32, 48)))
+        kitti = tmp_path / "k.cfg"
+        kitti.write_text(SMALL_CFG + f"run.mode=kitti\ndata.image_dir={imgs}\n")
+        assert run_cli("train", "--config", str(kitti), "--out", str(tmp_path / "o")) == 2
+        train_err = capsys.readouterr().err
+        code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(ckpt),
+                       "--image-dir", str(imgs), "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert "000000.ppm is 32x48" in train_err
+        assert capsys.readouterr().err == train_err
 
     def test_bad_image_leaves_no_predictions(self, tmp_path, small_cfg_file, capsys):
         ckpt = self._init_checkpoint(tmp_path, small_cfg_file)

@@ -46,6 +46,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("depth.bins=many")
 
+    def test_fusion_needs_96_pixels_a_side(self):
+        # pyramid pooling's 6x6 scale of the 1/16 level
+        RunConfig(image_height=96, image_width=96).validate()
+        for h, w in ((80, 96), (96, 80)):
+            with pytest.raises(ConfigError, match="data.image_height x data.image_width"):
+                RunConfig(image_height=h, image_width=w).validate()
+            RunConfig(image_height=h, image_width=w, use_dcpm=False, pe="ape").validate()
+
     def test_depth_pe_requires_dcpm(self):
         cfg = parse_config_text("model.dcpm=off\nmodel.pe=dgpe\n")
         with pytest.raises(ConfigError, match="dcpm"):

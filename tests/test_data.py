@@ -132,6 +132,13 @@ class TestSyntheticScenes:
         for oa, ob in zip(a.objects, b.objects):
             assert oa.location == ob.location
 
+    def test_camera_is_the_synthetic_calibration(self):
+        scene = data.generate_synthetic_scene(2, data.SceneConfig(image_size=(48, 64)))
+        camera = data.synthetic_calibration(48, 64)
+        np.testing.assert_array_equal(scene.calib.k_intrinsic, camera.k_intrinsic)
+        np.testing.assert_array_equal(scene.calib.k_extrinsic, camera.k_extrinsic)
+        assert (camera.fx, camera.fy, camera.cx, camera.cy) == (1.1 * 64, 1.1 * 64, 32.0, 24.0)
+
     def test_depth_bins_in_range(self):
         spec = geo.DepthBinSpec(2.0, 46.8, 64)
         for seed in range(8):
@@ -198,7 +205,9 @@ class TestSyntheticScenes:
     def test_scene_files(self, tmp_path):
         scene = data.generate_synthetic_scene(4)
         data.scene_to_files(scene, "000004", tmp_path / "image", tmp_path / "label", tmp_path / "calib")
-        sample = data.load_kitti_sample("000004", tmp_path / "image", tmp_path / "label", tmp_path / "calib")
-        assert sample.image.shape == scene.image.shape
-        assert len(sample.objects) == len(scene.objects)
-        assert sample.calib.fx == pytest.approx(scene.calib.fx)
+        image = data.load_image(tmp_path / "image" / "000004.ppm")
+        objects = data.read_label_file(tmp_path / "label" / "000004.txt")
+        calib = data.read_calib_file(tmp_path / "calib" / "000004.txt")
+        assert image.shape == scene.image.shape
+        assert len(objects) == len(scene.objects)
+        assert calib.fx == pytest.approx(scene.calib.fx)

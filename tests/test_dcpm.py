@@ -174,8 +174,7 @@ class TestDepthFocalLoss:
         logits = np.zeros((2, 1, 1))
         pred = dcpm.DepthDistribution(logits=Tensor(logits),
                                       probabilities=nm.softmax(Tensor(logits), axis=0))
-        loss = dcpm.depth_focal_loss(pred, np.array([[0]]), np.ones((1, 1)),
-                                     gamma=2.0, alpha_fg=1.0)
+        loss = dcpm.depth_focal_loss(pred, np.array([[0]]), np.ones((1, 1)), alpha_fg=1.0)
         assert loss.item() == pytest.approx(0.25 * math.log(2.0), rel=1e-6)
         assert loss.item() == pytest.approx(0.17328679513998632, rel=1e-6)
 

@@ -301,6 +301,18 @@ class TestPairTables:
                 iou = m[i, j] / (a.area + b.area - m[i, j])
                 assert abs(iou - ev.rasterized_bev_iou(a, b, resolution=500)) <= 5e-3
 
+    @settings(max_examples=60, deadline=None)
+    @given(bev_boxes, bev_boxes, st.floats(-1, 1), st.floats(-1, 1), st.floats(0.5, 2.5),
+           st.floats(0.5, 2.5))
+    def test_iou_3d_equals_the_table_entry(self, pred_box, gt_box, y, gt_y, h, gt_h):
+        prediction = det(x=pred_box.cx, y=y, z=10.0 + pred_box.cz, h=h, w=pred_box.width,
+                         l=pred_box.length, yaw=pred_box.angle, score=0.5)
+        truth = data.LabeledObject("Car", 0.0, 0, 0.0, (0, 0, 60, 60),
+                                   (gt_h, gt_box.width, gt_box.length),
+                                   (gt_box.cx, gt_y, 10.0 + gt_box.cz), gt_box.angle)
+        table = ev.build_pair_tables({"a": [prediction]}, {"a": [truth]}, ("Car",))["Car"][0]
+        assert ev.iou_3d(prediction, head.detection_from_label(truth)) == table.iou["3d"][0][0]
+
     def test_evaluate_all_clips_each_pair_once(self, monkeypatch):
         clipped = []
         clip_areas = ev._clip_areas

@@ -3,6 +3,7 @@ import math
 import os
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -347,6 +348,30 @@ class TestSplitStep:
         assert len(forks) == n - 1  # once per run, not once per step
         assert kills == []
         assert statuses == {pid: 0 for pid in forks}  # each left at EOF, unkilled
+        self._assert_no_child()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_helpers_leave_after_the_last_step(self, monkeypatch, n):
+        forks = self._record_forks(monkeypatch)
+        self._shares(monkeypatch, n)
+        cfg = small_config(**self.CFG)
+        exits = {}
+
+        def at_last_step(line):  # the helpers stay unreaped (WNOWAIT) for train()
+            if not line.startswith(f"step={cfg.steps - 1} "):
+                return
+            deadline = time.monotonic() + 5.0
+            flags = os.WEXITED | os.WNOHANG | os.WNOWAIT
+            for pid in forks:
+                info = os.waitid(os.P_PID, pid, flags)
+                while info is None and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                    info = os.waitid(os.P_PID, pid, flags)
+                exits[pid] = info and (info.si_code, info.si_status)
+
+        train(cfg, log_fn=at_last_step)
+        assert len(forks) == n - 1
+        assert exits == {pid: (os.CLD_EXITED, 0) for pid in forks}
         self._assert_no_child()
 
     def test_nonfinite_loss_in_helper_at_a_later_step(self, monkeypatch):
