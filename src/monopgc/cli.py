@@ -5,8 +5,10 @@ usage errors, 3 training aborted on a non-finite loss. Ablation toggles
 (--no-dcpm, --no-dsat, --pe) mirror the module on/off study rows.
 
 Kitti-mode `train` and `infer` read every input through `_load_samples`
-before they write anything; without a calibration directory each image
-takes the synthetic camera, `data.synthetic_calibration`.
+before they write anything. Training needs labels and their calibration;
+`infer` without a calibration directory gives each image the synthetic
+camera, `data.synthetic_calibration`. `infer` writes its prediction files
+only once `predictions_on_samples` has returned every image's detections.
 """
 
 from __future__ import annotations
@@ -96,7 +98,10 @@ def cmd_train(args):
     if cfg.mode == "kitti":
         if not cfg.image_dir:
             raise ConfigError("kitti mode needs data.image_dir")
-        if cfg.label_dir and not cfg.calib_dir:
+        if not cfg.label_dir:
+            raise ConfigError("kitti mode training needs data.label_dir: without labels "
+                              "every target is empty and the model learns to detect nothing")
+        if not cfg.calib_dir:
             raise ConfigError("kitti mode with data.label_dir needs data.calib_dir: "
                               "training targets are the labels projected through the calibration")
     samples = (_load_samples(cfg, cfg.image_dir, cfg.label_dir, cfg.calib_dir)
@@ -160,13 +165,12 @@ def cmd_infer(args):
         print("warning: no .ppm images found, nothing to do", file=sys.stderr)
         return EXIT_OK
 
+    predictions = predictions_on_samples(model, samples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for sample in samples:
-        outputs = model.forward(sample)
-        dets = model.decode(outputs, sample.calib)
         labels = []
-        for det in dets:
+        for det in predictions[sample.stem]:
             lbl = detection_to_label(det)
             lbl.bbox2d = detection_bbox2d(det, sample.calib, sample.image.shape[1:])
             labels.append(lbl)

@@ -9,8 +9,8 @@ Example file:
 
 Every result of the pipeline is determined by the config (plus the seed).
 The only environment it reads is OpenBLAS's thread variables, which decide
-whether training splits each step across CPUs and never change a result
-(see `pipeline._step_processes`).
+whether training splits each step, and `infer` its images, across CPUs and
+never change a result (see `pipeline._step_processes`).
 """
 
 from __future__ import annotations

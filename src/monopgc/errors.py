@@ -38,4 +38,4 @@ class EvaluationError(MonoPGCError, RuntimeError):
 
 
 class HelperError(MonoPGCError, RuntimeError):
-    """A forked training helper ended without delivering its share's results."""
+    """A forked training or inference helper ended without delivering its share's results."""

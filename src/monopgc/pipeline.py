@@ -12,12 +12,15 @@ across the CPUs: helper processes forked once per run are sent the current
 parameters each step, run all but the first share and send back per-sample
 gradients, which are summed in sample order, so a run gives the same bits
 on any number of CPUs (see `train`). Each helper leaves once it has sent
-the last step's results.
+the last step's results. `predictions_on_samples` splits its samples the
+same way, into helpers forked for the call that send back each sample's
+detections. Both kinds of helper live and die by one lifecycle, `_helpers`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import pickle
@@ -305,8 +308,8 @@ def train(config, samples=None, log_fn=None, model=None):
         warnings.simplefilter("ignore", UserWarning)  # helpers forked below inherit it
         # A step that ends early (a non-finite loss, an exception) ends the
         # run and its helpers, so no record of it can reach a later step.
-        helpers = run.enter_context(
-            _step_helpers(model, params, samples, targets, n_shares - 1, total_steps))
+        serve = functools.partial(_serve, model, params, samples, targets, total_steps)
+        helpers = run.enter_context(_helpers([serve] * (n_shares - 1)))
         for step in range(total_steps):
             lr = one_cycle_lr(step, total_steps, config.lr_initial, config.lr_peak,
                               config.warmup_fraction)
@@ -341,7 +344,8 @@ def train(config, samples=None, log_fn=None, model=None):
 
 
 def _step_processes():
-    """How many processes one training step may run its shares in.
+    """How many processes one training step, or one `predictions_on_samples`
+    call, may run its shares in.
 
     Every CPU of `os.sched_getaffinity` when OpenBLAS is pinned to one
     thread (`OPENBLAS_NUM_THREADS=1`, or `OMP_NUM_THREADS=1` with the former
@@ -352,6 +356,9 @@ def _step_processes():
     1 also without os.fork and while other Python threads run, since a
     forked child holds only the calling thread and a lock another thread
     held at the fork stays locked in it for good.
+    Memory grows with the count: each process past the first is a helper
+    with its own tape and its own copy of each page that it or the caller
+    writes while it lives (copy-on-write after the fork).
     """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -398,14 +405,7 @@ def _sample_results(model, params, helpers, samples, targets, shares, scale):
     yield from _share_passes(model, samples, targets, shares[0], scale)
     for (pid, _, results), share in zip(helpers, shares[1:]):
         for _ in share:
-            try:
-                record = pickle.load(results)
-            except (EOFError, pickle.UnpicklingError):
-                raise HelperError(f"training helper {pid} ended without sending "
-                                  "its results") from None
-            if isinstance(record, BaseException):
-                raise record
-            idx, loss, breakdown, grads = record
+            idx, loss, breakdown, grads = _receive(pid, results)
             for p, g in zip(params.values(), grads):
                 if g is not None:
                     p.grad = g if p.grad is None else p.grad + g
@@ -415,17 +415,21 @@ def _sample_results(model, params, helpers, samples, targets, shares, scale):
 
 
 @contextlib.contextmanager
-def _step_helpers(model, params, samples, targets, count, steps):
-    """Fork `count` helpers that each run one share of each of `steps` steps (`_serve`).
+def _helpers(bodies):
+    """Fork one helper per callable of `bodies`, which runs body(commands, results)
+    on its ends of a command pipe and a result pipe and then leaves by
+    `os._exit`, so nothing the caller had buffered (stdout included) is
+    flushed a second time.
 
-    Yields [(pid, commands, results)]. On a normal end each helper has left
-    after its last step; on any other exit, KeyboardInterrupt included,
-    each is killed first. All are reaped.
+    Yields [(pid, commands, results)], the caller's ends. On a normal end
+    each helper has left by itself, or will once its body returns; on any
+    other exit, KeyboardInterrupt included, each is killed first. All are
+    reaped.
     """
     helpers = []
     ended = False
     try:
-        for _ in range(count):
+        for body in bodies:
             cmd_read, cmd_write = os.pipe()
             res_read, res_write = os.pipe()
             commands, results = open(cmd_write, "wb"), open(res_read, "rb")
@@ -436,7 +440,7 @@ def _step_helpers(model, params, samples, targets, count, steps):
                     try:
                         commands.close()
                         results.close()
-                        _serve(model, params, samples, targets, steps, helper_in, helper_out)
+                        body(helper_in, helper_out)
                         os._exit(0)
                     finally:
                         os._exit(1)
@@ -453,35 +457,56 @@ def _step_helpers(model, params, samples, targets, count, steps):
             os.waitpid(pid, 0)
 
 
-def _serve(model, params, samples, targets, steps, commands, results):
-    """A helper's loop: for each of `steps` steps, run the (share, loss scale,
-    parameter arrays) sent on `commands`, from those parameters and zeroed
-    gradients.
+def _send(records, results):
+    """A helper's reply: every record of the iterable `records`, or the records
+    before the exception that stopped it and then that exception, pickled to
+    `results` once the iterable is done, so a helper never waits on the
+    caller mid-share."""
+    sent = []
+    try:
+        sent.extend(records)
+    except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+        try:
+            pickle.dumps(exc)
+        except Exception:  # noqa: BLE001
+            exc = HelperError(f"helper failed: {type(exc).__name__}: {exc}")
+        sent.append(exc)
+    for record in sent:
+        pickle.dump(record, results, protocol=pickle.HIGHEST_PROTOCOL)
+    results.flush()
 
-    Each sample's record, (index, loss, breakdown, per-parameter gradients),
-    or the exception that stopped the share, goes to `results` once the
-    share has run, so a helper never waits on the caller mid-share.
+
+def _receive(pid, results):
+    """The next record `_send` wrote in helper `pid`; an exception it sent is raised here."""
+    try:
+        record = pickle.load(results)
+    except (EOFError, pickle.UnpicklingError):
+        raise HelperError(f"helper {pid} ended without sending its results") from None
+    if isinstance(record, BaseException):
+        raise record
+    return record
+
+
+def _serve(model, params, samples, targets, steps, commands, results):
+    """A training helper's body: for each of `steps` steps, run the (share,
+    loss scale, parameter arrays) sent on `commands`, from those parameters
+    and zeroed gradients, and `_send` each sample's record, (index, loss,
+    breakdown, per-parameter gradients).
     """
     for _ in range(steps):
         share, scale, arrays = pickle.load(commands)
         for p, array in zip(params.values(), arrays):
             p.data, p.grad = array, None
-        records = []
-        try:
-            for idx, loss, breakdown in _share_passes(model, samples, targets, share, scale):
-                grads = [p.grad for p in params.values()]  # all None after a non-finite loss
-                for p in params.values():
-                    p.grad = None
-                records.append((idx, loss, breakdown, grads))
-        except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
-            try:
-                pickle.dumps(exc)
-            except Exception:  # noqa: BLE001
-                exc = HelperError(f"training helper failed: {type(exc).__name__}: {exc}")
-            records.append(exc)
-        for record in records:
-            pickle.dump(record, results, protocol=pickle.HIGHEST_PROTOCOL)
-        results.flush()
+        _send(_share_gradients(model, params, samples, targets, share, scale), results)
+
+
+def _share_gradients(model, params, samples, targets, share, scale):
+    """`_share_passes` with each sample's gradients taken off the parameters."""
+    for idx, loss, breakdown in _share_passes(model, samples, targets, share, scale):
+        grads = [p.grad for p in params.values()]  # all None after a non-finite loss
+        for p in params.values():
+            p.grad = None
+        yield idx, loss, breakdown, grads
 
 
 def _diagnostics(params, step, loss_val, breakdowns):
@@ -499,12 +524,35 @@ def _diagnostics(params, step, loss_val, breakdowns):
 
 
 def predictions_on_samples(model, samples):
-    """Decode detections for every sample: {stem: [Detection3D]}."""
-    preds = {}
-    for s in samples:
-        outputs = model.forward(s)
-        preds[s.stem] = model.decode(outputs, s.calib)
+    """Decode detections for every sample: {stem: [Detection3D]}, in sample order.
+
+    The samples are cut into contiguous shares as a training step's batch
+    is (`_step_processes`). The first share runs here; every other one runs
+    in a helper forked for this call, which sends back each sample's
+    (stem, detections) and leaves. Each sample's forward and decode are the
+    same in any process, so the detections do not depend on the share
+    count, to the bit. A helper's exception is raised here.
+    """
+    shares = np.array_split(np.arange(len(samples)),
+                            max(1, min(len(samples), _step_processes())))
+
+    def predict(share, commands, results):
+        _send(_detections(model, samples, share), results)
+
+    with _helpers([functools.partial(predict, share) for share in shares[1:]]) as helpers:
+        preds = dict(_detections(model, samples, shares[0]))
+        for (pid, _, results), share in zip(helpers, shares[1:]):
+            for _ in share:
+                stem, detections = _receive(pid, results)
+                preds[stem] = detections
     return preds
+
+
+def _detections(model, samples, share):
+    """Yield (stem, detections) of each sample of `share`, in order."""
+    for idx in share:
+        sample = samples[idx]
+        yield sample.stem, model.decode(model.forward(sample), sample.calib)
 
 
 def ground_truth_of_samples(samples):

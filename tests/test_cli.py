@@ -1,9 +1,13 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 
-from monopgc import cli, data
+from monopgc import cli, data, pipeline
 from monopgc.checkpoint import load_checkpoint, save_checkpoint
 from monopgc.config import load_config
+from monopgc.errors import DimensionError
 from monopgc.pipeline import MonoPGCModel
 
 
@@ -89,7 +93,9 @@ class TestTrainCommand:
         assert "000004.txt does not exist" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_kitti_without_calib_trains_with_the_synthetic_camera(self, tmp_path):
+    @staticmethod
+    def _kitti_images(tmp_path):
+        """Two 48x48 images and a kitti config naming only their directory."""
         images = tmp_path / "image"
         images.mkdir()
         for seed in (4, 3):
@@ -97,9 +103,17 @@ class TestTrainCommand:
             data.save_image(images / f"{seed:06d}.ppm", scene.image)
         cfg = tmp_path / "k.cfg"
         cfg.write_text(SMALL_CFG + f"run.mode=kitti\ndata.image_dir={images}\noptim.steps=1\n")
+        return images, cfg
+
+    def test_kitti_without_labels_exits_2(self, tmp_path, capsys):
+        _, cfg = self._kitti_images(tmp_path)
         out = tmp_path / "o"
-        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
-        assert len((out / "train.log").read_text().splitlines()) == 1
+        assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 2
+        assert "needs data.label_dir" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_load_samples_without_calib_takes_the_synthetic_camera(self, tmp_path):
+        images, cfg = self._kitti_images(tmp_path)  # as `infer` without --calib-dir
         samples = cli._load_samples(load_config(cfg), images, "", "")
         assert [s.stem for s in samples] == ["000003", "000004"]
         camera = data.synthetic_calibration(48, 48)
@@ -201,7 +215,8 @@ class TestInferCommand:
         imgs.mkdir()
         data.save_image(imgs / "000000.ppm", np.zeros((3, 32, 48)))
         kitti = tmp_path / "k.cfg"
-        kitti.write_text(SMALL_CFG + f"run.mode=kitti\ndata.image_dir={imgs}\n")
+        kitti.write_text(SMALL_CFG + f"run.mode=kitti\ndata.image_dir={imgs}\n"
+                         f"data.label_dir={tmp_path}\ndata.calib_dir={tmp_path}\n")
         assert run_cli("train", "--config", str(kitti), "--out", str(tmp_path / "o")) == 2
         train_err = capsys.readouterr().err
         code = run_cli("infer", "--config", str(small_cfg_file), "--checkpoint", str(ckpt),
@@ -236,6 +251,53 @@ class TestInferCommand:
             assert (out / "000000.txt").exists()
         assert (p1 / "000000.txt").read_text() == (p2 / "000000.txt").read_text()
 
+    def _four_images(self, tmp_path):
+        """A fresh checkpoint that decodes boxes, and four images for it."""
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text(SMALL_CFG + "decode.score_threshold=0.1\n")
+        imgs = tmp_path / "imgs"
+        imgs.mkdir()
+        for i in range(4):
+            scene = data.generate_synthetic_scene(i, data.SceneConfig(image_size=(48, 48)))
+            data.save_image(imgs / f"{i:06d}.ppm", scene.image)
+        return cfg, self._init_checkpoint(tmp_path, cfg), imgs
+
+    def test_split_and_one_process_write_the_same_bytes(self, tmp_path, monkeypatch):
+        cfg, ckpt, imgs = self._four_images(tmp_path)
+        written = {}
+        for shares in (1, 3):  # 3 shares: images 0-1 here, 2 and 3 in two helpers
+            monkeypatch.setattr(pipeline, "_step_processes", lambda: shares)
+            out = tmp_path / f"p{shares}"
+            assert run_cli("infer", "--config", str(cfg), "--checkpoint", str(ckpt),
+                           "--image-dir", str(imgs), "--out", str(out)) == 0
+            written[shares] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(written[1]) == 4 and all(written[1].values())
+        assert written[3] == written[1]
+
+    @pytest.mark.parametrize("failure", ["raise", "kill"])
+    def test_helper_failure_leaves_no_output_directory(self, tmp_path, monkeypatch, capsys,
+                                                       failure):
+        cfg, ckpt, imgs = self._four_images(tmp_path)
+        monkeypatch.setattr(pipeline, "_step_processes", lambda: 2)  # 000002-3 in the helper
+        real_forward, parent = MonoPGCModel.forward, os.getpid()
+
+        def forward(self, sample):
+            if sample.stem == "000003" and os.getpid() != parent:
+                if failure == "raise":
+                    raise DimensionError("planted in the helper")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_forward(self, sample)
+
+        monkeypatch.setattr(MonoPGCModel, "forward", forward)
+        out = tmp_path / "p"
+        assert run_cli("infer", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--image-dir", str(imgs), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert ("planted in the helper" if failure == "raise"
+                else "without sending its results") in err
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_checkpoint_with_adam_arrays_runs(self, tmp_path, small_cfg_file):
         # the layout `monopgc train` wrote before checkpoints dropped Adam's moments

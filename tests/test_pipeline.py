@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import os
 import signal
@@ -56,6 +57,26 @@ def _plant(monkeypatch, stem, effect):
 
     monkeypatch.setattr(MonoPGCModel, "forward", forward)
     monkeypatch.setattr(MonoPGCModel, "loss", loss)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _record_forks(monkeypatch):
+    """Patch os.fork to list, in this process, the pid of each helper forked."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 class TestModelAssembly:
@@ -246,11 +267,6 @@ class TestSplitStep:
         monkeypatch.setattr(pipeline, "_step_processes", lambda: n)
 
     @staticmethod
-    def _assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
     def _grads(model):
         return {name: p.grad for name, p in model.parameters().items()}
 
@@ -267,21 +283,6 @@ class TestSplitStep:
 
         return apply
 
-    @staticmethod
-    def _record_forks(monkeypatch):
-        """Patch os.fork to list, in this process, the pid of each helper forked."""
-        pids = []
-        real_fork = os.fork
-
-        def fork():
-            pid = real_fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return pids
-
     def _assert_same_grads(self, got, want):
         assert sum(g is not None for g in want.values()) > 10
         for name, g in want.items():
@@ -297,7 +298,7 @@ class TestSplitStep:
             self._shares(monkeypatch, n)
             with nm.check_mode() if check else contextlib.nullcontext():
                 result, _ = train(small_config(**self.CFG))
-            self._assert_no_child()
+            _assert_no_child()
             runs.append(result)
         first = runs[0]
         for other in runs[1:]:
@@ -318,7 +319,7 @@ class TestSplitStep:
             before = {name: p.data.copy() for name, p in model.parameters().items()}
             with pytest.raises(TrainingAborted, match=f"step 0 \\(sample {bad}\\)"):
                 train(cfg, model=model)
-            self._assert_no_child()
+            _assert_no_child()
             for name, p in model.parameters().items():
                 np.testing.assert_array_equal(p.data, before[name], err_msg=name)
             partial[n] = self._grads(model)
@@ -327,7 +328,7 @@ class TestSplitStep:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_helpers_live_for_the_run_and_leave_at_eof(self, monkeypatch, n):
-        forks = self._record_forks(monkeypatch)
+        forks = _record_forks(monkeypatch)
         statuses, kills = {}, []
         real_waitpid, real_kill = os.waitpid, os.kill
 
@@ -348,11 +349,11 @@ class TestSplitStep:
         assert len(forks) == n - 1  # once per run, not once per step
         assert kills == []
         assert statuses == {pid: 0 for pid in forks}  # each left at EOF, unkilled
-        self._assert_no_child()
+        _assert_no_child()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_helpers_leave_after_the_last_step(self, monkeypatch, n):
-        forks = self._record_forks(monkeypatch)
+        forks = _record_forks(monkeypatch)
         self._shares(monkeypatch, n)
         cfg = small_config(**self.CFG)
         exits = {}
@@ -372,7 +373,7 @@ class TestSplitStep:
         train(cfg, log_fn=at_last_step)
         assert len(forks) == n - 1
         assert exits == {pid: (os.CLD_EXITED, 0) for pid in forks}
-        self._assert_no_child()
+        _assert_no_child()
 
     def test_nonfinite_loss_in_helper_at_a_later_step(self, monkeypatch):
         cfg = small_config(**self.CFG)
@@ -385,7 +386,7 @@ class TestSplitStep:
                 _plant(patch, bad, self._from_step_1(model, lambda total: total * float("nan")))
                 with pytest.raises(TrainingAborted, match=f"step 1 \\(sample {bad}\\)"):
                     train(cfg, model=model)
-            self._assert_no_child()
+            _assert_no_child()
             after_step_0[n] = {name: p.data for name, p in model.parameters().items()}
         for name, data in after_step_0[1].items():
             np.testing.assert_array_equal(after_step_0[2][name], data, err_msg=name)
@@ -428,7 +429,7 @@ class TestSplitStep:
         self._shares(monkeypatch, 2)
         with pytest.raises(DimensionError, match="planted in the helper"):
             train(cfg)
-        self._assert_no_child()
+        _assert_no_child()
 
     def test_helper_that_dies_is_a_typed_error(self, monkeypatch):
         cfg = small_config(**self.CFG)
@@ -443,7 +444,7 @@ class TestSplitStep:
         self._shares(monkeypatch, 2)
         with pytest.raises(HelperError, match="without sending its results"):
             train(cfg)
-        self._assert_no_child()
+        _assert_no_child()
 
     def test_helper_that_dies_at_a_later_step_is_a_typed_error(self, monkeypatch):
         cfg = small_config(**self.CFG)
@@ -461,10 +462,10 @@ class TestSplitStep:
         with pytest.raises(HelperError, match="without sending its results"):
             train(cfg, model=model, log_fn=logged.append)
         assert len(logged) == 1
-        self._assert_no_child()
+        _assert_no_child()
 
     def test_helper_killed_between_steps_is_a_typed_error(self, monkeypatch):
-        forks = self._record_forks(monkeypatch)
+        forks = _record_forks(monkeypatch)
         self._shares(monkeypatch, 2)
 
         def kill_helper(line):  # after step 0; wait for its exit, leave it unreaped
@@ -473,7 +474,7 @@ class TestSplitStep:
 
         with pytest.raises(HelperError, match="without sending its results"):
             train(small_config(**self.CFG), log_fn=kill_helper)
-        self._assert_no_child()
+        _assert_no_child()
 
     def test_interrupt_kills_and_reaps_the_helpers(self, monkeypatch):
         cfg = small_config(**self.CFG)
@@ -488,4 +489,61 @@ class TestSplitStep:
         self._shares(monkeypatch, 3)
         with pytest.raises(KeyboardInterrupt):
             train(cfg)
-        self._assert_no_child()
+        _assert_no_child()
+
+
+def _fail_in_helper(monkeypatch, stem, failure):
+    """At the forward of the sample named `stem`, in a helper only, raise an
+    exception ("raise") or have the helper killed ("kill")."""
+    real_forward, parent = MonoPGCModel.forward, os.getpid()
+
+    def forward(self, sample):
+        if sample.stem == stem and os.getpid() != parent:
+            if failure == "raise":
+                raise DimensionError("planted in the helper")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_forward(self, sample)
+
+    monkeypatch.setattr(MonoPGCModel, "forward", forward)
+
+
+class TestSplitPredictions:
+    """`predictions_on_samples` with its samples cut into shares; shares 1.. run in
+    helpers forked for the call."""
+
+    CFG = dict(scenes=4, score_threshold=0.1)  # a fresh model decodes 4-5 boxes an image
+
+    @staticmethod
+    def _setup(monkeypatch, images, offered):
+        monkeypatch.setattr(pipeline, "_step_processes", lambda: offered)
+        cfg = small_config(**TestSplitPredictions.CFG)
+        return MonoPGCModel(cfg), make_synthetic_samples(cfg)[:images]
+
+    @pytest.mark.parametrize("images,offered", [(1, 3), (2, 5), (2, 2)],
+                             ids=["one-image", "more-shares-than-images", "two-images"])
+    def test_same_detections_as_a_serial_loop(self, monkeypatch, images, offered):
+        model, samples = self._setup(monkeypatch, images, offered)
+        forks = _record_forks(monkeypatch)
+        got = pipeline.predictions_on_samples(model, samples)
+        assert len(forks) == min(images, offered) - 1  # at most one share per image
+        _assert_no_child()
+        want = [(s.stem, model.decode(model.forward(s), s.calib)) for s in samples]
+        assert list(got) == [stem for stem, _ in want]
+        assert all(dets for _, dets in want)
+        for stem, dets in want:
+            assert len(got[stem]) == len(dets)
+            for a, b in zip(got[stem], dets):
+                for field in dataclasses.fields(b):
+                    np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                                  err_msg=f"{stem} {field.name}")
+
+    @pytest.mark.parametrize("failure,error,match", [
+        ("raise", DimensionError, "planted in the helper"),  # raised here with its type
+        ("kill", HelperError, "without sending its results"),
+    ])
+    def test_helper_failure_is_raised_here(self, monkeypatch, failure, error, match):
+        model, samples = self._setup(monkeypatch, 4, 2)  # 0-1 here, 2-3 in the helper
+        _fail_in_helper(monkeypatch, samples[-1].stem, failure)  # mid-share
+        with pytest.raises(error, match=match):
+            pipeline.predictions_on_samples(model, samples)
+        _assert_no_child()
