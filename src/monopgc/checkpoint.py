@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _read_input
 from .errors import FormatError
 
 MAGIC = "MONOPGC-CKPT 1"
@@ -61,7 +62,7 @@ def save_checkpoint(path, params, step=0, config_hash="", extra_arrays=None, met
 
 def load_checkpoint(path):
     """Read a checkpoint into {'params': {...}, 'extra': {...}, 'meta': {...}}."""
-    blob = Path(path).read_bytes()
+    blob = _read_input(path, "checkpoint", text=False)
     marker = blob.find(b"\nPAYLOAD ")
     header_end = blob.find(b"\n", marker + 1)
     if not blob.startswith(MAGIC.encode()) or marker < 0 or header_end < 0:

@@ -1,8 +1,13 @@
 """Command line: monopgc train | infer | eval | selfcheck.
 
-Exit codes: 0 success, 1 a check or evaluation mismatch, 2 configuration or
-usage errors, 3 training aborted on a non-finite loss. Ablation toggles
-(--no-dcpm, --no-dsat, --pe) mirror the module on/off study rows.
+Exit codes, each an error type's `exit_code`, picked only in `main`: 0
+success; 1 a failed selfcheck or unmatched eval stems; 2 a configuration,
+usage or input error (a bad option or value, or a missing, unreadable or
+malformed input file or directory); 3 a non-finite training loss
+(diagnostics in nan_dump.txt); 4 a helper that ended without sending its
+results. Ablation toggles (--no-dcpm, --no-dsat, --pe) mirror the module
+on/off study rows. Only `train` takes `--seed`: `infer` loads every
+parameter from its checkpoint.
 
 Kitti-mode `train` and `infer` read every input through `_load_samples`
 before they write anything. Training needs labels and their calibration;
@@ -21,24 +26,20 @@ from pathlib import Path
 from . import evaluation as ev
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_config
-from .data import (Sample, load_image, read_calib_file, read_label_file,
+from .data import (Sample, _stem_files, load_image, read_calib_file, read_label_file,
                    synthetic_calibration, write_label_file)
 from .dsat import PE_KINDS
-from .errors import ConfigError, MonoPGCError
+from .errors import ConfigError, MonoPGCError, TrainingAborted
 from .head import detection_bbox2d, detection_to_label
-from .pipeline import (MonoPGCModel, TrainingAborted, make_synthetic_samples,
-                       predictions_on_samples, train)
+from .pipeline import MonoPGCModel, predictions_on_samples, train
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_CONFIG = 2
-EXIT_NAN = 3
 
 
 def _add_common(parser):
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int, help="override run.seed")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--no-dcpm", action="store_true", help="disable the fusion module")
     parser.add_argument("--no-dsat", action="store_true", help="disable the coordinate transformer")
@@ -52,6 +53,7 @@ def build_parser():
 
     p_train = sub.add_parser("train", help="train on synthetic scenes or KITTI-format data")
     _add_common(p_train)
+    p_train.add_argument("--seed", type=int, help="override run.seed")
     p_train.add_argument("--steps", type=int, help="override optim.steps")
     p_train.add_argument("--scenes", type=int, help="override synth.scenes")
 
@@ -115,8 +117,7 @@ def cmd_train(args):
     except TrainingAborted as exc:
         dump = out_dir / "nan_dump.txt"
         dump.write_text(exc.diagnostics + "\n")
-        print(f"error: {exc}; diagnostics in {dump}", file=sys.stderr)
-        return EXIT_NAN
+        raise TrainingAborted(f"{exc}; diagnostics in {dump}", exc.diagnostics) from None
 
     log_path.write_text("\n".join(result.log_lines) + "\n")
     ckpt = out_dir / "final.ckpt"
@@ -127,22 +128,17 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _check_image_size(cfg, path, image):
-    """The model is built for one input size; another one fails deep inside it."""
-    if image.shape[1:] != cfg.image_hw:
-        h, w = image.shape[1:]
-        raise ConfigError(f"{path} is {h}x{w} (height x width), but data.image_height x "
-                          f"data.image_width is {cfg.image_height}x{cfg.image_width}")
-
-
 def _load_samples(cfg, image_dir, label_dir, calib_dir):
     """Every `*.ppm` of image_dir, in stem order, as a size-checked Sample with
     its `<stem>.txt` calibration (the synthetic camera without calib_dir) and,
     with label_dir, its `<stem>.txt` labels."""
     samples = []
-    for path in sorted(Path(image_dir).glob("*.ppm"), key=lambda p: p.stem):
+    for path in _stem_files(image_dir, ".ppm", "image").values():
         image = load_image(path)
-        _check_image_size(cfg, path, image)
+        if image.shape[1:] != cfg.image_hw:  # another size would fail deep inside the model
+            h, w = image.shape[1:]
+            raise ConfigError(f"{path} is {h}x{w} (height x width), but data.image_height x "
+                              f"data.image_width is {cfg.image_height}x{cfg.image_width}")
         calib = (read_calib_file(Path(calib_dir) / f"{path.stem}.txt") if calib_dir
                  else synthetic_calibration(*cfg.image_hw))
         objects = read_label_file(Path(label_dir) / f"{path.stem}.txt") if label_dir else None
@@ -154,9 +150,7 @@ def cmd_infer(args):
     cfg = _load_run_config(args)
     loaded = load_checkpoint(args.checkpoint)
     if loaded["meta"].get("config_hash") != cfg.model_hash():
-        print("error: checkpoint config hash does not match the supplied config",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("checkpoint config hash does not match the supplied config")
     model = MonoPGCModel(cfg)
     model.load_state(loaded["params"])
 
@@ -180,11 +174,7 @@ def cmd_infer(args):
 
 
 def cmd_eval(args):
-    try:
-        predictions, ground_truth = ev.load_directory_pairs(args.gt, args.pred)
-    except MonoPGCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    predictions, ground_truth = ev.load_directory_pairs(args.gt, args.pred)
     results = ev.evaluate_all(predictions, ground_truth)
     table, kv = ev.format_report(results)
     print(table)
@@ -209,21 +199,14 @@ def cmd_selfcheck(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    commands = {"train": cmd_train, "infer": cmd_infer, "eval": cmd_eval,
+                "selfcheck": cmd_selfcheck}
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "infer":
-            return cmd_infer(args)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "selfcheck":
-            return cmd_selfcheck(args)
+        return commands[args.command](args)
     except MonoPGCError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    parser.error(f"unknown command {args.command!r}")
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 
+from .data import _read_input
 from .dcpm import FEATURE_STRIDE, PPM_SCALES
 from .dsat import PE_KINDS
 from .errors import ConfigError
@@ -224,6 +225,4 @@ def parse_config_text(text, base=None):
 
 
 def load_config(path, base=None):
-    from pathlib import Path
-
-    return parse_config_text(Path(path).read_text(), base)
+    return parse_config_text(_read_input(path, "config file"), base)

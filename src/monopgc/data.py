@@ -63,6 +63,12 @@ class LabeledObject:
         pts = np.stack([xs, ys, zs], axis=1) @ rotation_y(self.rotation_y).T
         return pts + np.asarray(self.location)
 
+    def image_bbox2d(self, calib, image_hw):
+        """(left, top, right, bottom) of the projected 3D box, clipped to the image."""
+        h, w = image_hw
+        upper = (w - 1, h - 1, w - 1, h - 1)
+        return tuple(float(np.clip(v, 0, hi)) for v, hi in zip(_projected_bbox(self, calib), upper))
+
 
 def parse_kitti_label(line, line_number=None):
     """Parse one 15-field (optionally 16-field) KITTI label line."""
@@ -108,16 +114,34 @@ def format_kitti_label(obj, include_score=None):
     return " ".join(parts)
 
 
-def read_label_file(path):
+def _read_input(path, what, text=True):
+    """The UTF-8 text (bytes with text=False) of the input file `path`, a `what`
+    such as "label file". Every input file is read here, so every failure is typed."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
+        return raw.decode("utf-8") if text else raw
     except FileNotFoundError:
-        raise ConfigError(f"label file {path} does not exist") from None
-    objects = []
-    for i, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            objects.append(parse_kitti_label(line, line_number=i))
-    return objects
+        raise ConfigError(f"{what} {path} does not exist") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _stem_files(directory, suffix, what):
+    """{stem: path} of the `suffix` files in `directory`, in stem order."""
+    try:
+        paths = [p for p in Path(directory).iterdir() if p.suffix == suffix]
+    except FileNotFoundError:
+        raise ConfigError(f"{what} directory {directory} does not exist") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot list {what} directory {directory}: {exc.strerror}") from None
+    return {p.stem: p for p in sorted(paths, key=lambda p: p.stem)}
+
+
+def read_label_file(path):
+    lines = _read_input(path, "label file").splitlines()
+    return [parse_kitti_label(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
 
 
 def write_label_file(path, objects, include_score=None):
@@ -152,9 +176,7 @@ def parse_kitti_calib(text):
 
 
 def read_calib_file(path):
-    if not Path(path).is_file():
-        raise ConfigError(f"calibration file {path} does not exist")
-    return parse_kitti_calib(Path(path).read_text())
+    return parse_kitti_calib(_read_input(path, "calibration file"))
 
 
 def synthetic_calibration(height, width):
@@ -231,7 +253,7 @@ def encode_ppm(image):
 
 
 def load_image(path):
-    return decode_ppm(Path(path).read_bytes())
+    return decode_ppm(_read_input(path, "image", text=False))
 
 
 def save_image(path, image):
@@ -374,18 +396,11 @@ def generate_synthetic_scene(seed, config=None):
     foreground = owner >= 0
     depth_final = np.where(foreground, depth, cfg.background_depth)
 
-    # finalize labels: 2D boxes from projected corners, alpha from yaw
-    final_objects = []
-    for obj in objects:
-        uv, _ = calib.project(obj.corners3d())
-        left = float(np.clip(uv[:, 0].min(), 0, width - 1))
-        right = float(np.clip(uv[:, 0].max(), 0, width - 1))
-        top = float(np.clip(uv[:, 1].min(), 0, height - 1))
-        bottom = float(np.clip(uv[:, 1].max(), 0, height - 1))
-        x, _, z = obj.location
-        alpha = _wrap_angle(obj.rotation_y - math.atan2(x, z))
-        final_objects.append(dataclasses.replace(
-            obj, bbox2d=(left, top, right, bottom), alpha=alpha))
+    # finalize labels: clipped 2D boxes of the projected corners, alpha from yaw
+    final_objects = [dataclasses.replace(
+        obj, bbox2d=obj.image_bbox2d(calib, cfg.image_size),
+        alpha=_wrap_angle(obj.rotation_y - math.atan2(obj.location[0], obj.location[2])))
+        for obj in objects]
 
     # quantize to the PPM byte lattice so saved scenes reload bit-identically
     img = np.rint(np.clip(img, 0.0, 1.0) * 255.0) / 255.0

@@ -1,8 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, each with the exit code `cli.main` gives it."""
 
 
 class MonoPGCError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: configuration, usage or input."""
+
+    exit_code = 2
 
 
 class DimensionError(MonoPGCError, ValueError):
@@ -14,7 +16,7 @@ class DomainError(MonoPGCError, ValueError):
 
 
 class ConfigError(MonoPGCError, ValueError):
-    """Invalid or inconsistent run configuration."""
+    """Invalid or inconsistent run configuration, or a missing or unreadable input."""
 
 
 class CalibrationError(MonoPGCError, ValueError):
@@ -22,7 +24,7 @@ class CalibrationError(MonoPGCError, ValueError):
 
 
 class ParseError(MonoPGCError, ValueError):
-    """Malformed label / calibration text input."""
+    """Malformed text input: labels, calibration, or text that is not UTF-8."""
 
 
 class FormatError(MonoPGCError, ValueError):
@@ -34,8 +36,22 @@ class GenerationError(MonoPGCError, RuntimeError):
 
 
 class EvaluationError(MonoPGCError, RuntimeError):
-    """A value required by an evaluation is non-finite or unusable."""
+    """A value an evaluation needs is unusable, or evaluation stems do not match."""
+
+    exit_code = 1
+
+
+class TrainingAborted(MonoPGCError, RuntimeError):
+    """A non-finite loss stopped training; `diagnostics` describes the step."""
+
+    exit_code = 3
+
+    def __init__(self, message, diagnostics):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 class HelperError(MonoPGCError, RuntimeError):
     """A forked training or inference helper ended without delivering its share's results."""
+
+    exit_code = 4

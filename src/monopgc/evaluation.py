@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import read_label_file
+from .data import _stem_files, read_label_file
 from .errors import DomainError, EvaluationError
 from .head import DEFAULT_CLASSES, detection_from_label
 
@@ -449,15 +448,12 @@ def format_report(results):
 
 def load_directory_pairs(gt_dir, pred_dir):
     """Label files matched by stem; unmatched stems raise with the full list."""
-    gt_files = {p.stem: p for p in sorted(Path(gt_dir).glob("*.txt"))}
-    pred_files = {p.stem: p for p in sorted(Path(pred_dir).glob("*.txt"))}
+    gt_files = _stem_files(gt_dir, ".txt", "ground-truth")
+    pred_files = _stem_files(pred_dir, ".txt", "prediction")
     missing = sorted(set(gt_files) ^ set(pred_files))
     if missing:
         raise EvaluationError("unmatched file stems: " + ", ".join(missing))
-    ground_truth = {}
-    predictions = {}
-    for stem, path in gt_files.items():
-        ground_truth[stem] = read_label_file(path)
-        predictions[stem] = [detection_from_label(o)
-                             for o in read_label_file(pred_files[stem]) if not o.ignorable]
+    ground_truth = {stem: read_label_file(path) for stem, path in gt_files.items()}
+    predictions = {stem: [detection_from_label(o) for o in read_label_file(path) if not o.ignorable]
+                   for stem, path in pred_files.items()}
     return predictions, ground_truth

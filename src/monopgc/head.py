@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
+from .data import LabeledObject
 from .errors import DimensionError, DomainError
 from .geometry import _wrap_angle
 from .numerics import Tensor
@@ -320,8 +321,6 @@ def decode_detections(maps, calib, score_threshold=0.25, top_k=50, stride=4,
 
 def detection_to_label(det):
     """Detection3D to a KITTI-style LabeledObject (bottom-center location)."""
-    from .data import LabeledObject
-
     x, yc, z = det.location
     h = det.dimensions[0]
     alpha = _wrap_angle(det.yaw - math.atan2(x, z))
@@ -342,8 +341,4 @@ def detection_from_label(obj, classes=DEFAULT_CLASSES):
 
 def detection_bbox2d(det, calib, image_hw):
     """Projected 2D bounds of the 3D box, clipped to the image."""
-    lbl = detection_to_label(det)
-    uv, _ = calib.project(lbl.corners3d())
-    h, w = image_hw
-    return (float(np.clip(uv[:, 0].min(), 0, w - 1)), float(np.clip(uv[:, 1].min(), 0, h - 1)),
-            float(np.clip(uv[:, 0].max(), 0, w - 1)), float(np.clip(uv[:, 1].max(), 0, h - 1)))
+    return detection_to_label(det).image_bbox2d(calib, image_hw)

@@ -34,7 +34,7 @@ import numpy as np
 from . import dcpm, dsat, head as head_mod, numerics as nm
 from .data import SceneConfig, generate_synthetic_scene, sample_from_scene
 from .dcpm import FEATURE_STRIDE, IGNORE_BIN
-from .errors import ConfigError, EvaluationError, HelperError
+from .errors import ConfigError, EvaluationError, HelperError, TrainingAborted
 from .geometry import build_normalized_grid, depth_to_lid_bin
 from .numerics import Tensor
 
@@ -241,12 +241,6 @@ def one_cycle_lr(step, total_steps, lr_initial, lr_peak, warmup_fraction=0.3, fi
 
 
 # -- training loop -----------------------------------------------------------------------
-
-
-class TrainingAborted(RuntimeError):
-    def __init__(self, message, diagnostics):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 @dataclass

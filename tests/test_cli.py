@@ -4,10 +4,10 @@ import signal
 import numpy as np
 import pytest
 
-from monopgc import cli, data, pipeline
+from monopgc import cli, data, errors, pipeline
 from monopgc.checkpoint import load_checkpoint, save_checkpoint
 from monopgc.config import load_config
-from monopgc.errors import DimensionError
+from monopgc.errors import DimensionError, MonoPGCError
 from monopgc.pipeline import MonoPGCModel
 
 
@@ -55,6 +55,18 @@ class TestTrainCommand:
         assert run_cli("train", "--config", str(small_cfg_file), "--out", str(out2)) == 0
         assert (out1 / "train.log").read_text() == (out2 / "train.log").read_text()
         assert (out1 / "final.ckpt").read_bytes() == (out2 / "final.ckpt").read_bytes()
+
+    def test_nonfinite_loss_exits_3_naming_the_dump(self, tmp_path, small_cfg_file, monkeypatch,
+                                                    capsys):
+        def abort(cfg, **kwargs):
+            raise errors.TrainingAborted("non-finite loss at step 0", "step 0 diagnostics")
+
+        monkeypatch.setattr(cli, "train", abort)
+        out = tmp_path / "o"
+        assert run_cli("train", "--config", str(small_cfg_file), "--out", str(out)) == 3
+        dump = out / "nan_dump.txt"
+        assert dump.read_text() == "step 0 diagnostics\n"
+        assert capsys.readouterr().err == f"error: non-finite loss at step 0; diagnostics in {dump}\n"
 
     def test_invalid_pe_exits_2_listing_kinds(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -290,8 +302,10 @@ class TestInferCommand:
 
         monkeypatch.setattr(MonoPGCModel, "forward", forward)
         out = tmp_path / "p"
+        # an exception a helper sends keeps its own type's exit code; a dead helper is 4
+        code = 2 if failure == "raise" else 4
         assert run_cli("infer", "--config", str(cfg), "--checkpoint", str(ckpt),
-                       "--image-dir", str(imgs), "--out", str(out)) == 2
+                       "--image-dir", str(imgs), "--out", str(out)) == code
         err = capsys.readouterr().err
         assert ("planted in the helper" if failure == "raise"
                 else "without sending its results") in err
@@ -363,6 +377,115 @@ class TestEvalCommand:
                        "--out", str(tmp_path / "r"))
         assert code == 1
         assert "a" in capsys.readouterr().err
+
+
+GT_LINE = "Car 0.00 0 0.00 10.0 10.0 40.0 40.0 1.50 1.60 3.90 0.00 1.50 15.00 0.00"
+PRED_LINE = GT_LINE + " 0.90"
+
+
+def _eval_argv(tmp_path, gt=GT_LINE, pred=PRED_LINE, pred_stem="000000"):
+    """eval over one ground-truth and one prediction file, each given as str or bytes."""
+    dirs = tmp_path / "gt", tmp_path / "pred"
+    for directory, stem, text in zip(dirs, ("000000", pred_stem), (gt, pred)):
+        directory.mkdir()
+        (directory / f"{stem}.txt").write_bytes(text if isinstance(text, bytes) else text.encode())
+    return ["eval", "--gt", str(dirs[0]), "--pred", str(dirs[1])]
+
+
+def _infer_argv(tmp_path, cfg_text=SMALL_CFG, checkpoint=True, image_dir=True):
+    """infer of a fresh SMALL_CFG checkpoint over one image, under the config `cfg_text`."""
+    cfg, ckpt, imgs = tmp_path / "run.cfg", tmp_path / "init.ckpt", tmp_path / "imgs"
+    cfg.write_text(SMALL_CFG)
+    if checkpoint:
+        save_checkpoint(ckpt, MonoPGCModel(load_config(cfg)).parameters(),
+                        config_hash=load_config(cfg).model_hash())
+    if image_dir:
+        imgs.mkdir()
+        data.save_image(imgs / "000000.ppm", np.zeros((3, 48, 48)))
+    cfg.write_text(cfg_text)
+    return ["infer", "--config", str(cfg), "--checkpoint", str(ckpt), "--image-dir", str(imgs)]
+
+
+def _config_argv(tmp_path, text=None):
+    """train under a config file holding `text` (bytes), or a missing one (None)."""
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_bytes(text)
+    return ["train", "--config", str(cfg)]
+
+
+def _killed_helper_argv(tmp_path, monkeypatch):
+    cfg, ckpt, imgs = TestInferCommand()._four_images(tmp_path)
+    monkeypatch.setattr(pipeline, "_step_processes", lambda: 2)  # 000002-3 in the helper
+    real_forward, parent = MonoPGCModel.forward, os.getpid()
+
+    def forward(self, sample):
+        if sample.stem == "000003" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_forward(self, sample)
+
+    monkeypatch.setattr(MonoPGCModel, "forward", forward)
+    return ["infer", "--config", str(cfg), "--checkpoint", str(ckpt), "--image-dir", str(imgs)]
+
+
+ZERO_LENGTH = GT_LINE.replace(" 3.90 ", " 0.00 ")
+BAD_INPUT = {
+    # name: (argv builder (tmp_path, monkeypatch), exit code, text in the error line)
+    "infer-missing-checkpoint": (lambda t, m: _infer_argv(t, checkpoint=False), 2,
+                                 "init.ckpt does not exist"),
+    "train-missing-config": (lambda t, m: _config_argv(t), 2, "run.cfg does not exist"),
+    "train-directory-as-config": (lambda t, m: ["train", "--config", str(t)], 2, "cannot read"),
+    "non-utf8-config": (lambda t, m: _config_argv(t, b"model.pe=dg\xe9pe\n"), 2, "not UTF-8"),
+    "non-utf8-gt-label": (lambda t, m: _eval_argv(t, gt=b"Car \xff\n"), 2, "not UTF-8"),
+    "eval-malformed-prediction": (lambda t, m: _eval_argv(t, pred=PRED_LINE.replace("1.60", "x")),
+                                  2, "unparseable number"),
+    "eval-zero-length-prediction": (lambda t, m: _eval_argv(t, pred=ZERO_LENGTH + " 0.90"), 2,
+                                    "dimensions must be positive"),
+    "eval-zero-length-gt": (lambda t, m: _eval_argv(t, gt=ZERO_LENGTH), 2,
+                            "dimensions must be positive"),
+    "eval-missing-gt": (lambda t, m: ["eval", "--gt", str(t / "no"), "--pred", str(t)], 2,
+                        "ground-truth directory"),
+    "eval-missing-pred": (lambda t, m: ["eval", "--gt", str(t), "--pred", str(t / "no")], 2,
+                          "prediction directory"),
+    "infer-missing-image-dir": (lambda t, m: _infer_argv(t, image_dir=False), 2,
+                                "image directory"),
+    "eval-unmatched-stems": (lambda t, m: _eval_argv(t, pred_stem="000001"), 1,
+                             "unmatched file stems: 000000, 000001"),
+    "infer-hash-mismatch": (lambda t, m: _infer_argv(
+        t, cfg_text=SMALL_CFG.replace("model.channels=8", "model.channels=16")), 2,
+        "config hash does not match"),
+    "infer-killed-helper": (_killed_helper_argv, 4, "without sending its results"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_ends_in_one_error_line_and_its_exit_code(tmp_path, monkeypatch, capsys,
+                                                            case):
+    build, exit_code, message = BAD_INPUT[case]
+    out = tmp_path / "out"
+    argv = build(tmp_path, monkeypatch) + ["--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv) == exit_code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert not out.exists()
+
+
+def test_exit_codes_belong_to_the_error_types():
+    codes = {cls.__name__: cls.exit_code for cls in vars(errors).values()
+             if isinstance(cls, type) and issubclass(cls, MonoPGCError)}
+    assert codes.pop("EvaluationError") == 1
+    assert codes.pop("TrainingAborted") == 3
+    assert codes.pop("HelperError") == 4
+    assert set(codes.values()) == {2}
+    assert pipeline.TrainingAborted is errors.TrainingAborted
+
+
+def test_infer_takes_no_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("infer", "--checkpoint", "c", "--image-dir", str(tmp_path), "--seed", "3")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 class TestSelfcheckCommand:

@@ -2,7 +2,9 @@
 
 Each parser gets arbitrary text or bytes, plus inputs built from its own
 grammar (the right keys and field counts, odd numbers and tokens in the
-fields), which reach the checks past the first one.
+fields), which reach the checks past the first one. The file readers get
+the same inputs as file contents, with a byte that is not UTF-8 put in,
+and also a missing path and a directory.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from monopgc import data
 from monopgc.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from monopgc.config import KEYMAP, parse_config_text
+from monopgc.config import KEYMAP, load_config, parse_config_text
 from monopgc.errors import MonoPGCError
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
@@ -130,3 +132,36 @@ def test_checkpoint(ckpt_path, valid_ckpt, blob):
         blob = _mutated(valid_ckpt, *blob)
     ckpt_path.write_bytes(blob)
     _parses_or_typed(load_checkpoint, ckpt_path)
+
+
+READERS = {"label": data.read_label_file, "calib": data.read_calib_file, "config": load_config,
+           "checkpoint": load_checkpoint, "image": data.load_image}
+
+
+def _with_stray_byte(text, at, byte):
+    raw = text.encode()
+    at %= len(raw) + 1
+    return raw[:at] + bytes([byte]) + raw[at:]
+
+
+file_contents = st.one_of(
+    st.binary(), ppm_blobs, manifests,
+    st.builds(_with_stray_byte, st.one_of(st.text(), label_lines, calib_texts, config_texts),
+              st.integers(0, 400), st.integers(0x80, 0xFF)))
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@FUZZ
+@given(raw=file_contents)
+def test_file_reader(tmp_path_factory, reader, raw):
+    path = tmp_path_factory.getbasetemp() / f"fuzz.{reader}"
+    path.write_bytes(raw)
+    _parses_or_typed(READERS[reader], path)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_file_reader_names_a_missing_or_unreadable_path(tmp_path, reader):
+    with pytest.raises(MonoPGCError, match="does not exist"):
+        READERS[reader](tmp_path / "missing")
+    with pytest.raises(MonoPGCError, match=f"cannot read .*{tmp_path.name}"):
+        READERS[reader](tmp_path)
