@@ -62,16 +62,20 @@ def save_checkpoint(path, params, step=0, config_hash="", extra_arrays=None, met
 
 def load_checkpoint(path):
     """Read a checkpoint into {'params': {...}, 'extra': {...}, 'meta': {...}}."""
-    blob = _read_input(path, "checkpoint", text=False)
+    return _read_input(path, "checkpoint", parse_checkpoint, text=False)
+
+
+def parse_checkpoint(blob):
+    """`load_checkpoint` of a checkpoint file's bytes."""
     marker = blob.find(b"\nPAYLOAD ")
     header_end = blob.find(b"\n", marker + 1)
     if not blob.startswith(MAGIC.encode()) or marker < 0 or header_end < 0:
-        raise FormatError(f"{path} is not a checkpoint container")
+        raise FormatError("not a checkpoint container")
     try:
         header = blob[:marker].decode("ascii").splitlines()
         declared = int(blob[marker + len(b"\nPAYLOAD "):header_end])
     except ValueError:
-        raise FormatError(f"{path}: manifest is not ASCII or its PAYLOAD count does not parse") from None
+        raise FormatError("manifest is not ASCII or its PAYLOAD count does not parse") from None
     payload = blob[header_end + 1:]
     if len(payload) != declared:
         raise FormatError(f"payload length {len(payload)} != declared {declared}")

@@ -225,4 +225,4 @@ def parse_config_text(text, base=None):
 
 
 def load_config(path, base=None):
-    return parse_config_text(_read_input(path, "config file"), base)
+    return _read_input(path, "config file", lambda text: parse_config_text(text, base))

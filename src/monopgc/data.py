@@ -96,6 +96,8 @@ def parse_kitti_label(line, line_number=None):
         left, top, right, bottom = obj.bbox2d
         if right <= left or bottom <= top:
             raise ParseError(f"degenerate 2D box {obj.bbox2d}{where}")
+        if min(obj.dimensions) <= 0:  # as `head.Detection3D` requires
+            raise ParseError(f"dimensions must be positive, got {obj.dimensions}{where}")
     return obj
 
 
@@ -114,18 +116,24 @@ def format_kitti_label(obj, include_score=None):
     return " ".join(parts)
 
 
-def _read_input(path, what, text=True):
-    """The UTF-8 text (bytes with text=False) of the input file `path`, a `what`
-    such as "label file". Every input file is read here, so every failure is typed."""
+def _read_input(path, what, parse, text=True):
+    """parse(contents) of the input file `path`, a `what` such as "label file";
+    the contents are UTF-8 text, or bytes with text=False. Every input file
+    is read and parsed here, so every failure is typed and names the file:
+    an error `parse` raises gets "<what> <path>: " in front, keeping its type."""
     try:
         raw = Path(path).read_bytes()
-        return raw.decode("utf-8") if text else raw
+        contents = raw.decode("utf-8") if text else raw
     except FileNotFoundError:
         raise ConfigError(f"{what} {path} does not exist") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{what} {path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    try:
+        return parse(contents)
+    except (ConfigError, FormatError, ParseError) as exc:
+        raise type(exc)(f"{what} {path}: {exc}") from None
 
 
 def _stem_files(directory, suffix, what):
@@ -139,9 +147,14 @@ def _stem_files(directory, suffix, what):
     return {p.stem: p for p in sorted(paths, key=lambda p: p.stem)}
 
 
+def parse_kitti_labels(text):
+    """Every non-blank line of a KITTI label file's text, parsed."""
+    return [parse_kitti_label(line, i)
+            for i, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
 def read_label_file(path):
-    lines = _read_input(path, "label file").splitlines()
-    return [parse_kitti_label(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
+    return _read_input(path, "label file", parse_kitti_labels)
 
 
 def write_label_file(path, objects, include_score=None):
@@ -176,7 +189,7 @@ def parse_kitti_calib(text):
 
 
 def read_calib_file(path):
-    return parse_kitti_calib(_read_input(path, "calibration file"))
+    return _read_input(path, "calibration file", parse_kitti_calib)
 
 
 def synthetic_calibration(height, width):
@@ -253,7 +266,7 @@ def encode_ppm(image):
 
 
 def load_image(path):
-    return decode_ppm(_read_input(path, "image", text=False))
+    return _read_input(path, "image", decode_ppm, text=False)
 
 
 def save_image(path, image):

@@ -15,6 +15,11 @@ on any number of CPUs (see `train`). Each helper leaves once it has sent
 the last step's results. `predictions_on_samples` splits its samples the
 same way, into helpers forked for the call that send back each sample's
 detections. Both kinds of helper live and die by one lifecycle, `_helpers`.
+
+`predictions_on_samples` and `depth_bin_accuracy` run their forwards
+inside `_inference`: no parameter requires a gradient there, so a forward
+records no tape (`Tensor._result` keeps no parents and no vjp), and each
+parameter's flag is put back on every exit.
 """
 
 from __future__ import annotations
@@ -351,8 +356,10 @@ def _step_processes():
     forked child holds only the calling thread and a lock another thread
     held at the fork stays locked in it for good.
     Memory grows with the count: each process past the first is a helper
-    with its own tape and its own copy of each page that it or the caller
-    writes while it lives (copy-on-write after the fork).
+    with its own copy of each page that it or the caller writes while it
+    lives (copy-on-write after the fork), and a training helper with its
+    own tape. Inference records no tape (`_inference`), so its helpers and
+    its caller write far fewer pages.
     """
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
@@ -517,15 +524,34 @@ def _diagnostics(params, step, loss_val, breakdowns):
     return "\n".join(lines)
 
 
+@contextlib.contextmanager
+def _inference(model):
+    """Run the body with no parameter of `model` requiring a gradient, so its
+    forwards record no tape; each parameter's `requires_grad` is put back as
+    it was on every exit, KeyboardInterrupt included. Helpers forked inside
+    inherit the cleared flags."""
+    flags = [(p, p.requires_grad) for p in model.parameters().values()]
+    try:
+        for p, _ in flags:
+            p.requires_grad = False
+        yield
+    finally:
+        for p, flag in flags:
+            p.requires_grad = flag
+
+
 def predictions_on_samples(model, samples):
     """Decode detections for every sample: {stem: [Detection3D]}, in sample order.
 
-    The samples are cut into contiguous shares as a training step's batch
-    is (`_step_processes`). The first share runs here; every other one runs
+    The forwards record no tape (`_inference`), and every parameter's
+    `requires_grad` is as before once this returns or raises. The samples
+    are cut into contiguous shares as a training step's batch is
+    (`_step_processes`). The first share runs here; every other one runs
     in a helper forked for this call, which sends back each sample's
     (stem, detections) and leaves. Each sample's forward and decode are the
-    same in any process, so the detections do not depend on the share
-    count, to the bit. A helper's exception is raised here.
+    same in any process, with or without a tape, so the detections do not
+    depend on the share count, to the bit. A helper's exception is raised
+    here.
     """
     shares = np.array_split(np.arange(len(samples)),
                             max(1, min(len(samples), _step_processes())))
@@ -533,7 +559,8 @@ def predictions_on_samples(model, samples):
     def predict(share, commands, results):
         _send(_detections(model, samples, share), results)
 
-    with _helpers([functools.partial(predict, share) for share in shares[1:]]) as helpers:
+    with _inference(model), \
+            _helpers([functools.partial(predict, share) for share in shares[1:]]) as helpers:
         preds = dict(_detections(model, samples, shares[0]))
         for (pid, _, results), share in zip(helpers, shares[1:]):
             for _ in share:
@@ -554,15 +581,20 @@ def ground_truth_of_samples(samples):
 
 
 def depth_bin_accuracy(model, samples, config, tolerance=1):
-    """Mean fraction of foreground pixels within the bin tolerance."""
+    """Mean fraction of foreground pixels within the bin tolerance.
+
+    The forwards record no tape (`_inference`), and every parameter's
+    `requires_grad` is as before once this returns or raises.
+    """
     if not config.use_dcpm:
         raise EvaluationError("depth accuracy needs the fusion module enabled")
     accs = []
-    for s in samples:
-        outputs = model.forward(s)
-        targets = build_targets(s, config)
-        acc = dcpm.depth_accuracy_within(outputs["depth_dist"], targets["gt_bins"],
-                                         targets["fg_mask"], tolerance)
-        if not math.isnan(acc):
-            accs.append(acc)
+    with _inference(model):
+        for s in samples:
+            outputs = model.forward(s)
+            targets = build_targets(s, config)
+            acc = dcpm.depth_accuracy_within(outputs["depth_dist"], targets["gt_bins"],
+                                             targets["fg_mask"], tolerance)
+            if not math.isnan(acc):
+                accs.append(acc)
     return float(np.mean(accs)) if accs else float("nan")

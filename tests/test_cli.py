@@ -471,6 +471,26 @@ def test_bad_input_ends_in_one_error_line_and_its_exit_code(tmp_path, monkeypatc
     assert not out.exists()
 
 
+# the BAD_INPUT rows whose input file is malformed, and that file under tmp_path
+MALFORMED_FILES = {
+    "non-utf8-config": "run.cfg",
+    "non-utf8-gt-label": "gt/000000.txt",
+    "eval-malformed-prediction": "pred/000000.txt",
+    "eval-zero-length-prediction": "pred/000000.txt",
+    "eval-zero-length-gt": "gt/000000.txt",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_a_malformed_file_is_named_in_its_error_line(tmp_path, monkeypatch, capsys, case):
+    build, exit_code, _ = BAD_INPUT[case]
+    argv = build(tmp_path, monkeypatch) + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert run_cli(*argv) == exit_code
+    err = capsys.readouterr().err
+    assert str(tmp_path / MALFORMED_FILES[case]) in err, err
+
+
 def test_exit_codes_belong_to_the_error_types():
     codes = {cls.__name__: cls.exit_code for cls in vars(errors).values()
              if isinstance(cls, type) and issubclass(cls, MonoPGCError)}

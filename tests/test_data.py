@@ -41,6 +41,13 @@ class TestLabelParsing:
         with pytest.raises(ParseError, match="unparseable number"):
             data.parse_kitti_label(" ".join(fields))
 
+    @pytest.mark.parametrize("name", ["Car", "Tram"])  # Tram: a class eval does not score
+    @pytest.mark.parametrize("length", ["0.0", "-4.0"])
+    def test_box_side_of_zero_or_less(self, name, length):
+        line = CAR_LINE.replace("Car", name).replace(" 4.0 ", f" {length} ")
+        with pytest.raises(ParseError, match=r"dimensions must be positive.*\(line 3\)"):
+            data.parse_kitti_label(line, line_number=3)
+
     def test_score_column(self):
         obj = data.parse_kitti_label(CAR_LINE + " 0.87")
         assert obj.score == pytest.approx(0.87)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from monopgc import data
 from monopgc.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from monopgc.config import KEYMAP, load_config, parse_config_text
-from monopgc.errors import MonoPGCError
+from monopgc.errors import ConfigError, FormatError, MonoPGCError, ParseError
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -165,3 +165,26 @@ def test_file_reader_names_a_missing_or_unreadable_path(tmp_path, reader):
         READERS[reader](tmp_path / "missing")
     with pytest.raises(MonoPGCError, match=f"cannot read .*{tmp_path.name}"):
         READERS[reader](tmp_path)
+
+
+CAR = "Car 0 0 0 10 10 40 40 1.5 1.6 3.9 0 1.5 15 0"
+MALFORMED = {
+    # reader: (what its errors name, contents, error type, the parser's own message)
+    "label": ("label file", CAR.replace(" 40 40 ", " 5 40 ").encode(), ParseError,
+              "degenerate 2D box"),
+    "calib": ("calibration file", b"P0: 1 0 0 0 0 1 0 0 0 0 1 0\n", ParseError, "no P2 line"),
+    "config": ("config file", b"optim.steps=2\nmodel.nope=1\n", ConfigError,
+               "config line 2: unknown key"),
+    "checkpoint": ("checkpoint", None, FormatError, "payload length"),
+    "image": ("image", b"P6 2 2 255\n" + bytes(11), FormatError, "truncated PPM payload"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_file_reader_names_a_malformed_file(tmp_path, valid_ckpt, reader):
+    what, raw, error, message = MALFORMED[reader]
+    path = tmp_path / f"bad.{reader}"
+    path.write_bytes(valid_ckpt[:-1] if raw is None else raw)
+    with pytest.raises(error) as exc:
+        READERS[reader](path)
+    assert str(exc.value).startswith(f"{what} {path}: ") and message in str(exc.value)

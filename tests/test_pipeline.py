@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from monopgc import numerics as nm, pipeline
+from monopgc import dcpm, numerics as nm, pipeline
 from monopgc.config import RunConfig, parse_config_text
 from monopgc.dcpm import IGNORE_BIN
 from monopgc.errors import ConfigError, DimensionError, HelperError
@@ -547,3 +547,124 @@ class TestSplitPredictions:
         with pytest.raises(error, match=match):
             pipeline.predictions_on_samples(model, samples)
         _assert_no_child()
+
+
+def _tensors(node):
+    """Every Tensor reachable from a forward's outputs (dicts, sequences, dataclasses)."""
+    if isinstance(node, Tensor):
+        yield node
+    elif isinstance(node, dict):
+        for value in node.values():
+            yield from _tensors(value)
+    elif isinstance(node, (list, tuple)):
+        for value in node:
+            yield from _tensors(value)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            yield from _tensors(getattr(node, field.name))
+
+
+# 96x96 with the fusion module, so the outputs include a depth distribution
+DCPM = parse_config_text(
+    "model.channels=8\nmodel.embed=16\nmodel.ffn_width=32\ndepth.bins=16\nsynth.scenes=2\n"
+    "model.enc_blocks=1\nmodel.dec_blocks=1\n")
+
+
+class TestTapelessInference:
+    """`predictions_on_samples` and `depth_bin_accuracy` forward under
+    `pipeline._inference`: no tape, and every `requires_grad` put back."""
+
+    def test_a_forward_under_the_context_records_no_tape(self):
+        model = MonoPGCModel(DCPM)
+        sample = make_synthetic_samples(DCPM)[0]
+        assert model.forward(sample)["maps"].class_heatmap._parents  # taped outside
+        with pipeline._inference(model):
+            outputs = model.forward(sample)
+        tensors = list(_tensors(outputs))
+        assert outputs["depth_dist"] is not None and len(tensors) > 10
+        for t in tensors:
+            assert t._parents == () and t._vjp is None and not t.requires_grad
+
+    @staticmethod
+    def _flags(model):
+        return {name: p.requires_grad for name, p in model.parameters().items()}
+
+    @pytest.mark.parametrize("exit_path,error", [
+        ("return", None), ("raise-here", DimensionError), ("interrupt-here", KeyboardInterrupt),
+        ("raise-in-helper", DimensionError), ("kill-helper", HelperError)])
+    def test_predictions_put_every_flag_back(self, monkeypatch, exit_path, error):
+        model, samples = TestSplitPredictions._setup(monkeypatch, 4, 2)  # 2-3 in the helper
+        frozen = next(iter(model.parameters().values()))
+        frozen.requires_grad = False  # put back as it was, not switched on
+        before = self._flags(model)
+        assert sum(before.values()) == len(before) - 1
+        if exit_path in ("raise-in-helper", "kill-helper"):
+            _fail_in_helper(monkeypatch, samples[-1].stem, exit_path.split("-")[0])
+        elif error:
+            real_forward = MonoPGCModel.forward
+
+            def forward(self, sample):
+                if sample.stem == samples[1].stem:  # the caller's share
+                    raise error("planted here")
+                return real_forward(self, sample)
+
+            monkeypatch.setattr(MonoPGCModel, "forward", forward)
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            pipeline.predictions_on_samples(model, samples)
+        _assert_no_child()
+        assert self._flags(model) == before
+
+    def test_helpers_inherit_tapeless_parameters(self, monkeypatch):
+        model, samples = TestSplitPredictions._setup(monkeypatch, 4, 2)
+        forks = _record_forks(monkeypatch)
+        real_forward = MonoPGCModel.forward
+
+        def forward(self, sample):
+            if any(p.requires_grad for p in self.parameters().values()):
+                raise DimensionError(f"taped forward of {sample.stem} in {os.getpid()}")
+            return real_forward(self, sample)
+
+        monkeypatch.setattr(MonoPGCModel, "forward", forward)
+        assert len(pipeline.predictions_on_samples(model, samples)) == 4
+        assert len(forks) == 1
+
+    def test_training_after_predictions_logs_the_same_lines(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_step_processes", lambda: 2)
+        cfg = small_config()
+        first, _ = train(cfg)
+        pipeline.predictions_on_samples(first.model, first.samples)
+        after_predictions, _ = train(cfg, samples=first.samples, model=first.model)
+        untouched, _ = train(cfg, samples=first.samples, model=train(cfg)[0].model)
+        assert after_predictions.log_lines == untouched.log_lines
+
+    def test_depth_bin_accuracy_equals_a_taped_loop(self):
+        model = MonoPGCModel(DCPM)
+        samples = make_synthetic_samples(DCPM)
+        accs = []
+        for sample in samples:
+            outputs = model.forward(sample)
+            assert outputs["depth_dist"].logits._parents  # this loop keeps a tape
+            targets = build_targets(sample, DCPM)
+            acc = dcpm.depth_accuracy_within(outputs["depth_dist"], targets["gt_bins"],
+                                             targets["fg_mask"], 1)
+            if not math.isnan(acc):
+                accs.append(acc)
+        before = self._flags(model)
+        assert pipeline.depth_bin_accuracy(model, samples, DCPM, tolerance=1) == np.mean(accs)
+        assert self._flags(model) == before
+
+    def test_depth_bin_accuracy_puts_every_flag_back_after_an_exception(self, monkeypatch):
+        model = MonoPGCModel(DCPM)
+        samples = make_synthetic_samples(DCPM)
+        before = self._flags(model)
+        real_forward = MonoPGCModel.forward
+
+        def forward(self, sample):
+            if sample.stem == samples[-1].stem:
+                raise DimensionError("planted")
+            return real_forward(self, sample)
+
+        monkeypatch.setattr(MonoPGCModel, "forward", forward)
+        with pytest.raises(DimensionError, match="planted"):
+            pipeline.depth_bin_accuracy(model, samples, DCPM)
+        assert self._flags(model) == before
