@@ -87,9 +87,9 @@ def _load_run_config(args):
         cfg = replace(cfg, use_dsat=False)
     if getattr(args, "pe", None):
         cfg = replace(cfg, pe=args.pe)
-    if getattr(args, "steps", None):
+    if getattr(args, "steps", None) is not None:
         cfg = replace(cfg, steps=args.steps)
-    if getattr(args, "scenes", None):
+    if getattr(args, "scenes", None) is not None:
         cfg = replace(cfg, scenes=args.scenes)
     cfg.validate()
     return cfg

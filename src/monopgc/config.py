@@ -7,6 +7,8 @@ Example file:
     model.pe=dgpe
     optim.lr_peak=2.25e-3
 
+To add a key, declare one RunConfig field with `_key`: nothing else lists keys.
+
 Every result of the pipeline is determined by the config (plus the seed).
 The only environment it reads is OpenBLAS's thread variables, which decide
 whether training splits each step, and `infer` its images, across CPUs and
@@ -16,61 +18,68 @@ never change a result (see `pipeline._step_processes`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 from .data import _read_input
 from .dcpm import FEATURE_STRIDE, PPM_SCALES
 from .dsat import PE_KINDS
 from .errors import ConfigError
-from .geometry import DepthBinSpec
+from .geometry import ROI_Y, DepthBinSpec
+
+
+def _key(key, default, model=False, min=None):
+    """A RunConfig field: its dotted config key, whether a checkpoint must
+    agree on it (`model`, hashed in declaration order) and its smallest
+    accepted value (`min`). The annotation picks the parser."""
+    return field(default=default, metadata={"key": key, "model": model, "min": min})
 
 
 @dataclass
 class RunConfig:
     # data
-    mode: str = "synthetic"            # synthetic | kitti
-    image_dir: str = ""
-    label_dir: str = ""
-    calib_dir: str = ""
-    image_height: int = 96
-    image_width: int = 96
-    scenes: int = 20
-    min_objects: int = 1
-    max_objects: int = 3
-    classes: tuple = ("Car",)
-    # depth discretization and the coordinates grid
-    depth_min: float = 2.0
-    depth_max: float = 46.8
-    depth_bins: int = 64
-    grid_stride: int = 16
-    roi_y: float = 3.0                 # lateral x roi is +-depth_max, vertical +-roi_y
+    mode: str = _key("run.mode", "synthetic")          # synthetic | kitti
+    image_dir: str = _key("data.image_dir", "")
+    label_dir: str = _key("data.label_dir", "")
+    calib_dir: str = _key("data.calib_dir", "")
+    image_height: int = _key("data.image_height", 96, model=True, min=16)
+    image_width: int = _key("data.image_width", 96, model=True, min=16)
+    scenes: int = _key("synth.scenes", 20, min=1)
+    min_objects: int = _key("synth.min_objects", 1, min=0)
+    max_objects: int = _key("synth.max_objects", 3, min=1)
+    # depth discretization and the coordinates grid (roi: geometry.ROI_Y)
+    depth_min: float = _key("depth.min", 2.0, model=True)
+    depth_max: float = _key("depth.max", 46.8, model=True)
+    depth_bins: int = _key("depth.bins", 64, model=True, min=2)
+    grid_stride: int = _key("grid.stride", 16, model=True, min=1)
     # model toggles and sizes
-    use_dcpm: bool = True
-    use_dsat: bool = True
-    pe: str = "dgpe"
-    channels: int = 32
-    embed: int = 64
-    enc_blocks: int = 2
-    dec_blocks: int = 2
-    ffn_width: int = 128
-    dgpe_local_channels: int = 8
+    use_dcpm: bool = _key("model.dcpm", True, model=True)
+    use_dsat: bool = _key("model.dsat", True, model=True)
+    pe: str = _key("model.pe", "dgpe", model=True)
+    channels: int = _key("model.channels", 32, model=True, min=4)
+    embed: int = _key("model.embed", 64, model=True, min=1)
+    enc_blocks: int = _key("model.enc_blocks", 2, model=True, min=0)
+    dec_blocks: int = _key("model.dec_blocks", 2, model=True, min=0)
+    ffn_width: int = _key("model.ffn_width", 128, model=True, min=1)
+    dgpe_local_channels: int = _key("model.dgpe_local_channels", 8, model=True, min=0)
+    classes: tuple = _key("data.classes", ("Car",), model=True)  # last in the hash text
     # optimizer
-    lr_initial: float = 2.25e-4
-    lr_peak: float = 2.25e-3
-    warmup_fraction: float = 0.3
-    batch_size: int = 4
-    epochs: int = 100
-    steps: int = 0                     # >0 overrides the epoch-derived count
+    lr_initial: float = _key("optim.lr_initial", 2.25e-4, min=0)
+    lr_peak: float = _key("optim.lr_peak", 2.25e-3, min=0)
+    warmup_fraction: float = _key("optim.warmup_fraction", 0.3, min=0)
+    batch_size: int = _key("optim.batch_size", 4, min=1)
+    epochs: int = _key("optim.epochs", 100, min=1)
+    steps: int = _key("optim.steps", 0, min=0)     # >0 overrides the epoch-derived count
     # loss weights (total = d*depth + c*cls + r*reg)
-    lambda_depth: float = 1.0
-    lambda_cls: float = 1.0
-    lambda_reg: float = 1.0
+    lambda_depth: float = _key("loss.lambda_depth", 1.0, min=0)
+    lambda_cls: float = _key("loss.lambda_cls", 1.0, min=0)
+    lambda_reg: float = _key("loss.lambda_reg", 1.0, min=0)
     # decoding
-    score_threshold: float = 0.25
-    top_k: int = 50
-    uncertainty_discount: bool = True
+    score_threshold: float = _key("decode.score_threshold", 0.25)
+    top_k: int = _key("decode.top_k", 50, min=1)
+    uncertainty_discount: bool = _key("decode.uncertainty_discount", True)
     # misc
-    seed: int = 0
+    seed: int = _key("run.seed", 0, min=0)
 
     # -- derived ----------------------------------------------------------------
 
@@ -90,10 +99,15 @@ class RunConfig:
         return DepthBinSpec(self.depth_min, self.depth_max, self.depth_bins)
 
     def roi(self):
-        return ((-self.depth_max, self.depth_max), (-self.roi_y, self.roi_y),
-                (self.depth_min, self.depth_max))
+        return ((-self.depth_max, self.depth_max), ROI_Y, (self.depth_min, self.depth_max))
 
     def validate(self):
+        for f in fields(self):
+            key, low, value = f.metadata["key"], f.metadata["min"], getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value}")
+            if low is not None and value < low:
+                raise ConfigError(f"{key} must be at least {low}, got {value}")
         if self.mode not in ("synthetic", "kitti"):
             raise ConfigError(f"run.mode must be synthetic or kitti, got {self.mode!r}")
         if self.pe not in PE_KINDS:
@@ -111,6 +125,11 @@ class RunConfig:
             raise ConfigError(f"image size {self.image_hw} not divisible by grid stride {self.grid_stride}")
         if self.channels % 4:
             raise ConfigError("model.channels must be divisible by 4 (pyramid pooling and upscaling)")
+        if self.min_objects > self.max_objects:
+            raise ConfigError(f"synth.min_objects={self.min_objects} exceeds "
+                              f"synth.max_objects={self.max_objects}")
+        if self.warmup_fraction > 1:
+            raise ConfigError(f"optim.warmup_fraction must be at most 1, got {self.warmup_fraction}")
         if not 0 < self.score_threshold < 1:
             raise ConfigError(f"decode.score_threshold must be in (0,1), got {self.score_threshold}")
         self.bin_spec()  # raises on a bad depth range
@@ -136,11 +155,10 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def model_hash(self):
-        """Hash of the fields a checkpoint must agree on to be loadable."""
-        keys = ("image_height", "image_width", "depth_min", "depth_max", "depth_bins",
-                "grid_stride", "use_dcpm", "use_dsat", "pe", "channels", "embed",
-                "enc_blocks", "dec_blocks", "ffn_width", "dgpe_local_channels", "classes")
-        text = ";".join(f"{k}={getattr(self, k)}" for k in keys)
+        """Hash of the fields a checkpoint must agree on to be loadable: those
+        declared with model=True, as `name=value` in declaration order."""
+        text = ";".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+                        if f.metadata["model"])
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -160,45 +178,9 @@ def _parse_classes(text):
     return names
 
 
-KEYMAP = {
-    "run.mode": ("mode", str),
-    "run.seed": ("seed", int),
-    "data.image_dir": ("image_dir", str),
-    "data.label_dir": ("label_dir", str),
-    "data.calib_dir": ("calib_dir", str),
-    "data.image_height": ("image_height", int),
-    "data.image_width": ("image_width", int),
-    "data.classes": ("classes", _parse_classes),
-    "synth.scenes": ("scenes", int),
-    "synth.min_objects": ("min_objects", int),
-    "synth.max_objects": ("max_objects", int),
-    "depth.min": ("depth_min", float),
-    "depth.max": ("depth_max", float),
-    "depth.bins": ("depth_bins", int),
-    "grid.stride": ("grid_stride", int),
-    "grid.roi_y": ("roi_y", float),
-    "model.dcpm": ("use_dcpm", _parse_bool),
-    "model.dsat": ("use_dsat", _parse_bool),
-    "model.pe": ("pe", str),
-    "model.channels": ("channels", int),
-    "model.embed": ("embed", int),
-    "model.enc_blocks": ("enc_blocks", int),
-    "model.dec_blocks": ("dec_blocks", int),
-    "model.ffn_width": ("ffn_width", int),
-    "model.dgpe_local_channels": ("dgpe_local_channels", int),
-    "optim.lr_initial": ("lr_initial", float),
-    "optim.lr_peak": ("lr_peak", float),
-    "optim.warmup_fraction": ("warmup_fraction", float),
-    "optim.batch_size": ("batch_size", int),
-    "optim.epochs": ("epochs", int),
-    "optim.steps": ("steps", int),
-    "loss.lambda_depth": ("lambda_depth", float),
-    "loss.lambda_cls": ("lambda_cls", float),
-    "loss.lambda_reg": ("lambda_reg", float),
-    "decode.score_threshold": ("score_threshold", float),
-    "decode.top_k": ("top_k", int),
-    "decode.uncertainty_discount": ("uncertainty_discount", _parse_bool),
-}
+# the annotations are strings (`from __future__ import annotations`)
+_PARSERS = {"str": str, "int": int, "float": float, "bool": _parse_bool, "tuple": _parse_classes}
+KEYMAP = {f.metadata["key"]: (f.name, _PARSERS[f.type]) for f in fields(RunConfig)}
 
 
 def parse_config_text(text, base=None):

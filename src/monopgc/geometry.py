@@ -151,7 +151,8 @@ class CoordinateGrid:
         return self.values.shape[0] // 4
 
 
-DEFAULT_ROI = ((-46.8, 46.8), (-3.0, 3.0), (2.0, 46.8))
+ROI_Y = (-3.0, 3.0)  # camera-y range of every roi, metres (x is +-depth max)
+DEFAULT_ROI = ((-46.8, 46.8), ROI_Y, (2.0, 46.8))
 
 
 def build_frustum_grid(width, height, spec: DepthBinSpec, stride) -> Tensor:

@@ -414,6 +414,11 @@ def _config_argv(tmp_path, text=None):
     return ["train", "--config", str(cfg)]
 
 
+def _bad_value(text):
+    """argv builder: train under a config file holding the line(s) `text`."""
+    return lambda tmp_path, monkeypatch: _config_argv(tmp_path, text.encode() + b"\n")
+
+
 def _killed_helper_argv(tmp_path, monkeypatch):
     cfg, ckpt, imgs = TestInferCommand()._four_images(tmp_path)
     monkeypatch.setattr(pipeline, "_step_processes", lambda: 2)  # 000002-3 in the helper
@@ -455,6 +460,35 @@ BAD_INPUT = {
         t, cfg_text=SMALL_CFG.replace("model.channels=8", "model.channels=16")), 2,
         "config hash does not match"),
     "infer-killed-helper": (_killed_helper_argv, 4, "without sending its results"),
+    # out-of-range config values: the error line names the key
+    "config-batch-size-0": (_bad_value("optim.batch_size=0"), 2,
+                           "optim.batch_size must be at least 1, got 0"),
+    "config-batch-size-negative": (_bad_value("optim.batch_size=-2"), 2,
+                                  "optim.batch_size must be at least 1"),
+    "config-grid-stride-0": (_bad_value("grid.stride=0"), 2, "grid.stride must be at least 1"),
+    "config-max-objects-0": (_bad_value("synth.max_objects=0"), 2,
+                            "synth.max_objects must be at least 1"),
+    "config-min-above-max-objects": (_bad_value("synth.min_objects=2\nsynth.max_objects=1"), 2,
+                                    "synth.min_objects=2 exceeds synth.max_objects=1"),
+    "config-channels-0": (_bad_value("model.channels=0"), 2, "model.channels must be at least 4"),
+    "config-embed-0": (_bad_value("model.embed=0"), 2, "model.embed must be at least 1"),
+    "config-ffn-width-0": (_bad_value("model.ffn_width=0"), 2,
+                          "model.ffn_width must be at least 1"),
+    "config-warmup-nan": (_bad_value("optim.warmup_fraction=nan"), 2,
+                         "optim.warmup_fraction must be a finite"),
+    "config-lr-peak-nan": (_bad_value("optim.lr_peak=nan"), 2,
+                          "optim.lr_peak must be a finite number"),
+    "config-lambda-cls-inf": (_bad_value("loss.lambda_cls=inf"), 2,
+                             "loss.lambda_cls must be a finite number"),
+    "config-lr-initial-negative": (_bad_value("optim.lr_initial=-1"), 2,
+                                  "optim.lr_initial must be at least 0"),
+    "config-top-k-negative": (_bad_value("decode.top_k=-1"), 2, "decode.top_k must be at least 1"),
+    "config-enc-blocks-negative": (_bad_value("model.enc_blocks=-1"), 2,
+                                  "model.enc_blocks must be at least 0"),
+    "config-min-objects-negative": (_bad_value("synth.min_objects=-1"), 2,
+                                   "synth.min_objects must be at least 0"),
+    "config-warmup-above-1": (_bad_value("optim.warmup_fraction=2"), 2,
+                             "optim.warmup_fraction must be at most 1"),
 }
 
 
@@ -499,6 +533,21 @@ def test_exit_codes_belong_to_the_error_types():
     assert codes.pop("HelperError") == 4
     assert set(codes.values()) == {2}
     assert pipeline.TrainingAborted is errors.TrainingAborted
+
+
+def test_small_cfg_model_hash_is_pinned(small_cfg_file):
+    # checkpoints written by earlier versions carry this hash
+    assert load_config(small_cfg_file).model_hash() == "464e8c5302015c92"
+
+
+def test_zero_steps_and_scenes_options_are_not_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("optim.steps=500\n")
+    parse = cli.build_parser().parse_args
+    assert cli._load_run_config(parse(["train", "--config", str(cfg)])).steps == 500
+    assert cli._load_run_config(parse(["train", "--config", str(cfg), "--steps", "0"])).steps == 0
+    with pytest.raises(MonoPGCError, match="synth.scenes must be at least 1, got 0"):
+        cli._load_run_config(parse(["train", "--scenes", "0"]))
 
 
 def test_infer_takes_no_seed(tmp_path, capsys):

@@ -1,9 +1,11 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from monopgc import numerics as nm
 from monopgc.checkpoint import load_checkpoint, save_checkpoint
-from monopgc.config import RunConfig, load_config, parse_config_text
+from monopgc.config import KEYMAP, RunConfig, load_config, parse_config_text
 from monopgc.errors import ConfigError, FormatError
 from monopgc.numerics import Tensor
 
@@ -37,10 +39,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("nope.nope=1")
 
-    def test_removed_checkpoint_every_is_unknown(self):
-        # config.txt files written before the key was removed carry this line
-        with pytest.raises(ConfigError, match="unknown key 'optim.checkpoint_every'"):
-            parse_config_text("optim.checkpoint_every=0")
+    @pytest.mark.parametrize("line", ["optim.checkpoint_every=0", "grid.roi_y=3.0"])
+    def test_removed_checkpoint_every_is_unknown(self, line):
+        # config.txt files written before these keys were removed carry these lines
+        key = line.partition("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(line)
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
@@ -71,6 +75,22 @@ class TestConfig:
         assert a.model_hash() != b.model_hash()
         assert a.model_hash() == c.model_hash()  # optimizer settings don't gate loading
 
+    def test_default_model_hash_is_pinned(self):
+        # checkpoints written by earlier versions carry this hash
+        assert RunConfig().model_hash() == "fefcdc397fc7d090"
+
+    @pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+    def test_model_hash_moves_exactly_for_model_fields(self, f):
+        changed = replace(RunConfig(), **{f.name: _other(f.default)})
+        assert (changed.model_hash() != RunConfig().model_hash()) == f.metadata["model"]
+
+    @pytest.mark.parametrize("key", sorted(KEYMAP))
+    def test_every_key_round_trips_through_text(self, key):
+        attr = KEYMAP[key][0]
+        cfg = replace(RunConfig(), **{attr: _other(getattr(RunConfig(), attr))})
+        assert f"{key}=" in cfg.to_text()
+        assert parse_config_text(cfg.to_text()) == cfg
+
     def test_file_loading(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("synth.scenes=5\n")
@@ -80,6 +100,15 @@ class TestConfig:
         cfg = parse_config_text("optim.epochs=3\noptim.batch_size=4\n")
         assert cfg.total_steps(10) == 9  # ceil(10/4)=3 batches x 3 epochs
         assert parse_config_text("optim.steps=17").total_steps(10) == 17
+
+
+def _other(value):
+    """A value of the same type as `value` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, tuple):
+        return value + ("Pedestrian",)
+    return value + (1 if isinstance(value, (int, float)) else "x")
 
 
 class TestCheckpoint:

@@ -4,12 +4,13 @@ Each parser gets arbitrary text or bytes, plus inputs built from its own
 grammar (the right keys and field counts, odd numbers and tokens in the
 fields), which reach the checks past the first one. The file readers get
 the same inputs as file contents, with a byte that is not UTF-8 put in,
-and also a missing path and a directory.
+and also a missing path and a directory. A config that parses must also
+pass `validate()` or raise a MonoPGCError.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monopgc import data
 from monopgc.checkpoint import MAGIC, load_checkpoint, save_checkpoint
@@ -86,8 +87,9 @@ config_texts = st.lists(st.builds(
 
 @FUZZ
 @given(st.one_of(st.text(), config_texts))
+@example("grid.stride=0")
 def test_config_text(text):
-    _parses_or_typed(parse_config_text, text)
+    _parses_or_typed(lambda t: parse_config_text(t).validate(), text)
 
 
 @pytest.fixture(scope="module")
