@@ -114,15 +114,25 @@ class RunConfig:
             raise ConfigError(f"model.pe must be one of {PE_KINDS}, got {self.pe!r}")
         if self.pe in ("dpe", "dgpe") and not self.use_dcpm:
             raise ConfigError(f"model.pe={self.pe} needs the depth prediction: enable dcpm")
+        repeated = sorted({c for c in self.classes if self.classes.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"data.classes repeats {', '.join(repeated)}: "
+                              f"each name is one head channel")
+        if not 0 < self.depth_min < self.depth_max:
+            raise ConfigError(f"need 0 < depth.min < depth.max, got depth.min={self.depth_min}, "
+                              f"depth.max={self.depth_max}")
         if self.image_height % 16 or self.image_width % 16:
-            raise ConfigError(f"image size {self.image_hw} must be divisible by 16")
+            raise ConfigError(f"data.image_height x data.image_width is "
+                              f"{self.image_height}x{self.image_width}; both must be divisible by 16")
         min_side = 16 * max(PPM_SCALES)  # pyramid pooling of the 1/16 level
         if self.use_dcpm and min(self.image_hw) < min_side:
             raise ConfigError(
                 f"data.image_height x data.image_width is {self.image_height}x{self.image_width}, "
                 f"but the fusion module needs at least {min_side}x{min_side} (or model.dcpm=off)")
         if self.image_height % self.grid_stride or self.image_width % self.grid_stride:
-            raise ConfigError(f"image size {self.image_hw} not divisible by grid stride {self.grid_stride}")
+            raise ConfigError(f"data.image_height x data.image_width is "
+                              f"{self.image_height}x{self.image_width}, not divisible by "
+                              f"grid.stride={self.grid_stride}")
         if self.channels % 4:
             raise ConfigError("model.channels must be divisible by 4 (pyramid pooling and upscaling)")
         if self.min_objects > self.max_objects:
@@ -132,7 +142,6 @@ class RunConfig:
             raise ConfigError(f"optim.warmup_fraction must be at most 1, got {self.warmup_fraction}")
         if not 0 < self.score_threshold < 1:
             raise ConfigError(f"decode.score_threshold must be in (0,1), got {self.score_threshold}")
-        self.bin_spec()  # raises on a bad depth range
         return self
 
     # -- key=value mapping ---------------------------------------------------------

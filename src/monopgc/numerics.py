@@ -19,6 +19,13 @@ The vjps of mul, matmul and conv2d compute only the gradients of the
 operands that require one, decided when the node is made: the image at
 the stem, fixed filters and constant operands cost no backward work.
 
+Every GEMM whose inner dimension can be 1 goes through `_product`: the
+ones-vector outer products behind layer norms and biases, the gradient of
+a [N, 1] matmul output and a single-filter conv2d's input gradient are
+broadcast multiplies: the same values as the GEMM, without OpenBLAS's
+slow rank-1 case. elu's derivative is exp(min(x, 0)), the exponential its
+forward already computes, so it builds no derivative array of its own.
+
 Broadcasting is restricted to python-scalar against tensor; any other
 shape mismatch raises DimensionError. Division by a tensor needs a
 strictly positive denominator (DomainError otherwise), because it is
@@ -303,20 +310,20 @@ def relu(x):
     return Tensor._result(data, (x,), lambda g: (g * mask,), "relu")
 
 
-def elu(x, alpha=1.0):
+def elu(x):
+    """x where x > 0, else exp(x) - 1 (alpha = 1)."""
     x = as_tensor(x)
-    pos = x.data > 0
-    expm = np.exp(np.minimum(x.data, 0.0))
-    data = np.where(pos, x.data, alpha * (expm - 1.0)).astype(x.data.dtype)
-    deriv = np.where(pos, x.data.dtype.type(1), alpha * expm).astype(x.data.dtype)
-    return Tensor._result(data, (x,), lambda g: (g * deriv,), "elu")
+    expm = np.exp(np.minimum(x.data, 0.0))  # exactly 1 where x > 0: the derivative
+    data = np.where(x.data > 0, x.data, expm - 1.0)
+    return Tensor._result(data, (x,), lambda g: (g * expm,), "elu")
 
 
 def sigmoid(x):
     x = as_tensor(x)
     xd = x.data
-    out_data = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.abs(xd))),
-                        np.exp(-np.abs(xd)) / (1.0 + np.exp(-np.abs(xd)))).astype(xd.dtype)
+    e = np.exp(-np.abs(xd))
+    denom = 1.0 + e
+    out_data = np.where(xd >= 0, 1.0 / denom, e / denom)
     return Tensor._result(out_data, (x,),
                           lambda g: (g * out_data * (1.0 - out_data),), "sigmoid")
 
@@ -334,6 +341,17 @@ def absolute(x):
 # -- matmul / conv ---------------------------------------------------------------
 
 
+def _product(a, b):
+    """a @ b for 2-d arrays; a broadcast multiply when the inner dimension is 1.
+
+    OpenBLAS is slow at rank-1 GEMMs. Each output element is one rounded
+    product either way, so the values are equal; only the sign of an exact
+    zero can differ (the GEMM gives +0 where a * b gives -0). The two zeros
+    compare equal, and an addition of any nonzero value erases the sign.
+    """
+    return a * b if a.shape[-1] == 1 else a @ b
+
+
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -341,11 +359,12 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dimensions disagree {a.shape} @ {b.shape}")
     ad, bd = a.data, b.data
-    data = ad @ bd
+    data = _product(ad, bd)
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return g @ bd.T if need_a else None, ad.T @ g if need_b else None
+        return (_product(g, bd.T) if need_a else None,
+                _product(ad.T, g) if need_b else None)
 
     return Tensor._result(data, (a, b), vjp, "matmul")
 
@@ -381,7 +400,7 @@ def conv2d(x, weight, bias=None):
     w2 = weight.data.reshape(K, 9 * C)
     out = (w2 @ _im2col(padded, H, W)).reshape(K, H, W)
     if bias is not None:
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]
 
     need_x, need_w = x.requires_grad, weight.requires_grad
 
@@ -389,9 +408,9 @@ def conv2d(x, weight, bias=None):
         g2 = g.reshape(K, H * W)
         gx = gw = None
         if need_w:
-            gw = (g2 @ _im2col(padded, H, W).T).reshape(weight.shape)
+            gw = _product(g2, _im2col(padded, H, W).T).reshape(weight.shape)
         if need_x:
-            gcols = (w2.T @ g2).reshape(C, 3, 3, H, W)
+            gcols = _product(w2.T, g2).reshape(C, 3, 3, H, W)
             gx_padded = np.zeros_like(padded)
             for dy in range(3):
                 for dx in range(3):

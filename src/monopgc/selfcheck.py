@@ -37,6 +37,12 @@ def check_numerics_gradients():
             "avgpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 3))): (nm.adaptive_avg_pool2d(x, (2, 3)) * w).sum(), (2, 5, 7)),
             "conv2d_weight": (lambda k, x=Tensor(rng.standard_normal((2, 4, 4))), b=Tensor(rng.standard_normal(2)): (nm.conv2d(x, k, b) * x).sum(), (2, 2, 3, 3)),
             "conv2d_bias": (lambda b, x=Tensor(rng.standard_normal((2, 4, 4))), k=Tensor(rng.standard_normal((2, 2, 3, 3))): (nm.conv2d(x, k, b) * x).sum(), (2,)),
+            # rank-1 products, which run as broadcast multiplies
+            "matmul_outer_column": (lambda x, r=Tensor(rng.standard_normal((1, 4))), w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, r) * w).sum(), (3, 1)),
+            "matmul_outer_row": (lambda x, c=Tensor(rng.standard_normal((3, 1))), w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(c, x) * w).sum(), (1, 4)),
+            "matmul_column_output": (lambda x, v=Tensor(rng.standard_normal((4, 1))), w=Tensor(rng.standard_normal((3, 1))): (nm.matmul(x, v) * w).sum(), (3, 4)),
+            "matmul_row_input": (lambda x, r=Tensor(rng.standard_normal((1, 4))), w=Tensor(rng.standard_normal((1, 3))): (nm.matmul(r, x) * w).sum(), (4, 3)),
+            "conv2d_single_filter": (lambda x, k=Tensor(rng.standard_normal((1, 2, 3, 3))), w=Tensor(rng.standard_normal((1, 4, 4))): (nm.conv2d(x, k) * w).sum(), (2, 4, 4)),
         }
         inputs = {name: Tensor(rng.standard_normal(shape)) for name, (f, shape) in cases.items()}
     for name, (f, shape) in cases.items():

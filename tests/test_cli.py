@@ -489,6 +489,19 @@ BAD_INPUT = {
                                    "synth.min_objects must be at least 0"),
     "config-warmup-above-1": (_bad_value("optim.warmup_fraction=2"), 2,
                              "optim.warmup_fraction must be at most 1"),
+    # cross-key rules: the error line names every key of the rule
+    "config-depth-min-0": (_bad_value("depth.min=0"), 2,
+                           "need 0 < depth.min < depth.max, got depth.min=0.0, depth.max=46.8"),
+    "config-depth-max-below-min": (_bad_value("depth.min=10\ndepth.max=5"), 2,
+                                   "got depth.min=10.0, depth.max=5.0"),
+    "config-grid-stride-7": (_bad_value("grid.stride=7"), 2,
+                             "data.image_height x data.image_width is 96x96, "
+                             "not divisible by grid.stride=7"),
+    "config-image-not-multiple-of-16": (_bad_value("data.image_width=200"), 2,
+                                        "data.image_height x data.image_width is 96x200; "
+                                        "both must be divisible by 16"),
+    "config-repeated-class": (_bad_value("data.classes=Car,Pedestrian,Car"), 2,
+                              "data.classes repeats Car"),
 }
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -52,6 +53,39 @@ class TestMatmul:
                 b = rng.standard_normal((3, 5))
                 out = nm.matmul(Tensor(a), Tensor(b))
                 np.testing.assert_allclose(out.data, matmul_reference(a, b), atol=1e-12)
+
+
+class TestProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 4), m=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @example(n=576, k=1, m=64, dtype=np.float32, seed=0)  # a decoder layer norm's shape
+    def test_equals_gemm(self, n, k, m, dtype, seed):
+        # np.array_equal: +0 and -0 compare equal, the one difference allowed
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, k)).astype(dtype)
+        b = rng.standard_normal((k, m)).astype(dtype)
+        out = nm._product(a, b)
+        assert out.dtype == dtype and out.shape == (n, m)
+        assert np.array_equal(out, a @ b)
+
+    def test_transposed_operands(self):
+        # the vjps pass transposed views, e.g. a [K, 9C] weight's .T at K = 1
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((1, 18)).astype(np.float32)
+        g = rng.standard_normal((1, 25)).astype(np.float32)
+        assert np.array_equal(nm._product(w.T, g), w.T @ g)
+
+
+class TestElu:
+    @pytest.mark.parametrize("mode", [contextlib.nullcontext, nm.check_mode])
+    def test_vjp_is_one_above_zero_and_exp_at_or_below(self, mode):
+        values = [-30.0, -3.0, -0.5, -0.0, 0.0, 1e-30, 0.7, 40.0]
+        with mode():
+            x = Tensor(values, requires_grad=True)
+            nm.elu(x).sum().backward()
+        xd = x.data
+        assert np.array_equal(x.grad, np.where(xd > 0, xd.dtype.type(1), np.exp(xd)))
 
 
 class TestConv2d:
@@ -277,6 +311,12 @@ class TestGradientCheck:
         kbias = Tensor(rng.standard_normal(3))
         c355 = Tensor(rng.standard_normal((3, 5, 5)))
         c255 = Tensor(rng.standard_normal((2, 5, 5)))
+        r14 = Tensor(rng.standard_normal((1, 4)))
+        c31 = Tensor(rng.standard_normal((3, 1)))
+        v41 = Tensor(rng.standard_normal((4, 1)))
+        kern1 = Tensor(rng.standard_normal((1, 2, 3, 3)))
+        c155 = Tensor(rng.standard_normal((1, 5, 5)))
+        r13 = Tensor(rng.standard_normal((1, 3)))
         return {
             "add": (lambda x: (x + c34).sum(), (3, 4)),
             "mul": (lambda x: (x * c34).sum(), (3, 4)),
@@ -298,6 +338,12 @@ class TestGradientCheck:
             "conv2d_weight": (lambda w: (nm.conv2d(c255, w, kbias) * c355).sum(), (3, 2, 3, 3)),
             "conv2d_bias": (lambda b: (nm.conv2d(c255, kern, b) * c355).sum(), (3,)),
             "division": (lambda x: ((x * c34) / (x * x + 1.0)).sum(), (3, 4)),
+            # rank-1 products: broadcast multiplies forward and backward
+            "matmul_outer_column": (lambda x: (nm.matmul(x, r14) * c34).sum(), (3, 1)),
+            "matmul_outer_row": (lambda x: (nm.matmul(c31, x) * c34).sum(), (1, 4)),
+            "matmul_column_output": (lambda x: (nm.matmul(x, v41) * c31).sum(), (3, 4)),
+            "matmul_row_input": (lambda x: (nm.matmul(r14, x) * r13).sum(), (4, 3)),
+            "conv2d_single_filter": (lambda x: (nm.conv2d(x, kern1) * c155).sum(), (2, 5, 5)),
         }
 
     def test_every_kernel_matches_finite_differences(self):
