@@ -11,7 +11,9 @@ process (`_step_processes` is 1 on both sides), with OpenBLAS pinned to one
 thread before numpy loads.
 
 Set-up trains each side once for SETUP_STEPS steps and compares the log
-lines and every parameter's bits; it is not timed. Then each of ROUNDS
+lines and every parameter's bits, and takes each side's tracemalloc peak
+over one sample's forward, loss and backward on a fresh model; it is not
+timed. Then each of ROUNDS
 rounds runs, per side, inference (forward and decode, no tape) over IMAGES
 scenes with the model trained in set-up, and a ROUND_STEPS-step training
 run from a fresh model. The side that goes first alternates from round to
@@ -19,7 +21,8 @@ round, so a drift of the host's speed falls on both sides alike.
 
 One JSON line is printed: per side the median and quartiles of ms per
 image (inference) and ms per sample (training), the rounds each side won,
-and whether log lines, parameter bits and detections were identical.
+the one-sample tracemalloc peak, and whether log lines, parameter bits and
+detections were identical.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -77,7 +81,22 @@ class Side:
         result, _ = pkg.pipeline.train(self.config, samples=self.samples)
         self.log_lines = result.log_lines
         self.model = result.model
+        self.tape_peak_mb = self.sample_peak_mb()
         self.infer_ms, self.train_ms, self.round_logs, self.detections = [], [], [], []
+
+    def sample_peak_mb(self):
+        """tracemalloc peak of one sample's forward, loss and backward, fresh model."""
+        pipeline = self.pkg.pipeline
+        model = pipeline.MonoPGCModel(self.config)
+        sample = self.samples[0]
+        targets = pipeline.build_targets(sample, self.config)
+        tracemalloc.start()
+        try:
+            loss, _ = model.loss(model.forward(sample), targets)
+            loss.backward()
+            return round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+        finally:
+            tracemalloc.stop()
 
     def bits(self):
         return {name: p.data.view(np.uint32) for name, p in self.model.parameters().items()}
@@ -134,6 +153,7 @@ def main(argv=None):
                   "setup_steps": SETUP_STEPS, "round_steps": ROUND_STEPS, "images": IMAGES},
         "infer_ms_per_image": _compare(sides, "infer_ms"),
         "train_ms_per_sample": _compare(sides, "train_ms"),
+        "sample_tape_peak_mb": {side: sides[side].tape_peak_mb for side in SIDES},
         "log_lines_identical": (parent.log_lines == change.log_lines
                                 and parent.round_logs == change.round_logs),
         "params_identical": (parent_bits.keys() == change_bits.keys()

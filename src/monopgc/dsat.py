@@ -12,6 +12,7 @@ branch, the depth itself, and a learned base embedding, projected together.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -71,7 +72,15 @@ def map_from_tokens(t, hw):
 
 
 def _ones(shape):
-    return Tensor(np.ones(shape))
+    """A read-only ones tensor of `shape` that stores one element (zero strides)."""
+    return Tensor(_ones_array(tuple(shape), nm.current_dtype()))
+
+
+@functools.lru_cache(maxsize=None)
+def _ones_array(shape, dtype):
+    # built once per shape and width: broadcast_to costs more than the
+    # product it feeds, and a read-only view is safe to share
+    return np.broadcast_to(dtype(1), shape)
 
 
 def expand_rows(vec, n):

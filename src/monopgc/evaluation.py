@@ -23,6 +23,7 @@ into false positives.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -424,6 +425,14 @@ def evaluate_all(predictions, ground_truth, config=None):
                 ap = _bucket_ap(tables[cls], config, metric, diff, cls)
                 results[(metric, cls, diff)] = None if ap is None else 100.0 * ap
     return results
+
+
+def unscored_classes(ground_truth):
+    """{class: box count} of the ground truth's classes that `evaluate_all`
+    does not score, by name; DontCare regions are not counted."""
+    counts = Counter(o.class_name for objects in ground_truth.values() for o in objects
+                     if not o.ignorable and o.class_name not in DEFAULT_CLASSES)
+    return dict(sorted(counts.items()))
 
 
 def format_report(results):

@@ -23,8 +23,16 @@ Every GEMM whose inner dimension can be 1 goes through `_product`: the
 ones-vector outer products behind layer norms and biases, the gradient of
 a [N, 1] matmul output and a single-filter conv2d's input gradient are
 broadcast multiplies: the same values as the GEMM, without OpenBLAS's
-slow rank-1 case. elu's derivative is exp(min(x, 0)), the exponential its
-forward already computes, so it builds no derivative array of its own.
+slow rank-1 case. The ones are zero-stride views (`dsat._ones`), so an
+outer product with them is one row or column, computed once and held as
+a read-only broadcast view: the tape keeps each repeated vector once.
+elu's derivative is exp(min(x, 0)), the exponential its forward already
+computes, and relu's mask is read off its output, so neither keeps a
+derivative or a mask of its own.
+
+backward() frees as it goes: each node drops its parents and vjp as it is
+visited, so the arrays a node saved are released during the sweep, and
+after it no tensor of the graph keeps a tape.
 
 Broadcasting is restricted to python-scalar against tensor; any other
 shape mismatch raises DimensionError. Division by a tensor needs a
@@ -67,7 +75,8 @@ class Tensor:
     Tensors are immutable after creation except for gradient accumulation.
     Results of operations record a backward closure and references to their
     parents; calling backward() on a scalar output replays the recorded
-    operations once, in reverse topological order.
+    operations once, in reverse topological order, and releases each one
+    as it goes.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op",
@@ -133,9 +142,11 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from this scalar output.
 
-        Each recorded operation is visited exactly once. A second call on
-        the same output is an error: rebuild the forward graph instead of
-        silently accumulating twice.
+        Each recorded operation is visited exactly once, and its node leaves
+        the order and drops its parents and vjp as it is visited, so what
+        the vjp saved is released during the sweep, not when the whole tape
+        is dropped. A second call on the same output is an error: rebuild
+        the forward graph instead of silently accumulating twice.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
@@ -162,12 +173,15 @@ class Tensor:
                     stack.append((p, False))
 
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
+            parents, vjp = node._parents, node._vjp
+            node._parents, node._vjp = (), None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._vjp is not None:
-                for parent, pg in zip(node._parents, node._vjp(g)):
+            if vjp is not None:
+                for parent, pg in zip(parents, vjp(g)):
                     if pg is None or not parent.requires_grad:
                         continue
                     if id(parent) in grads:
@@ -305,9 +319,9 @@ def log(x):
 
 def relu(x):
     x = as_tensor(x)
-    mask = x.data > 0
-    data = np.where(mask, x.data, x.data.dtype.type(0))
-    return Tensor._result(data, (x,), lambda g: (g * mask,), "relu")
+    data = np.where(x.data > 0, x.data, x.data.dtype.type(0))
+    # data > 0 is the same set as x > 0, so no mask stays on the tape
+    return Tensor._result(data, (x,), lambda g: (g * (data > 0),), "relu")
 
 
 def elu(x):
@@ -348,8 +362,26 @@ def _product(a, b):
     product either way, so the values are equal; only the sign of an exact
     zero can differ (the GEMM gives +0 where a * b gives -0). The two zeros
     compare equal, and an addition of any nonzero value erases the sign.
+
+    An operand with a zero stride (a broadcast view such as `dsat._ones`)
+    repeats one row or column. A rank-1 product with such an operand is
+    computed once and returned as a read-only broadcast view of the full
+    shape: the same values, without writing out the repeats. A GEMM operand
+    with a zero stride is copied to a contiguous array first, since numpy's
+    matmul does not hand such an operand to BLAS and rounds differently.
     """
-    return a * b if a.shape[-1] == 1 else a @ b
+    if a.shape[-1] == 1:
+        shape = (a.shape[0], b.shape[1])
+        if a.strides[0] == 0:
+            return np.broadcast_to(a[:1] * b, shape)
+        if b.strides[1] == 0:
+            return np.broadcast_to(a * b[:, :1], shape)
+        return a * b
+    if 0 in a.strides:
+        a = np.ascontiguousarray(a)
+    if 0 in b.strides:
+        b = np.ascontiguousarray(b)
+    return a @ b
 
 
 def matmul(a, b):

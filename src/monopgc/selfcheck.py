@@ -43,6 +43,11 @@ def check_numerics_gradients():
             "matmul_column_output": (lambda x, v=Tensor(rng.standard_normal((4, 1))), w=Tensor(rng.standard_normal((3, 1))): (nm.matmul(x, v) * w).sum(), (3, 4)),
             "matmul_row_input": (lambda x, r=Tensor(rng.standard_normal((1, 4))), w=Tensor(rng.standard_normal((1, 3))): (nm.matmul(r, x) * w).sum(), (4, 3)),
             "conv2d_single_filter": (lambda x, k=Tensor(rng.standard_normal((1, 2, 3, 3))), w=Tensor(rng.standard_normal((1, 4, 4))): (nm.conv2d(x, k) * w).sum(), (2, 4, 4)),
+            # zero-stride ones operands, as expand_rows and layer norm use them
+            "matmul_ones_column_left": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(dsat._ones((3, 1)), x) * w).sum(), (1, 4)),
+            "matmul_ones_row_right": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, dsat._ones((1, 4))) * w).sum(), (3, 1)),
+            "matmul_ones_left": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(dsat._ones((3, 4)), x) * w).sum(), (4, 4)),
+            "matmul_ones_right": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, dsat._ones((4, 4))) * w).sum(), (3, 4)),
         }
         inputs = {name: Tensor(rng.standard_normal(shape)) for name, (f, shape) in cases.items()}
     for name, (f, shape) in cases.items():

@@ -368,6 +368,23 @@ class TestEvalCommand:
         kv = (tmp_path / "report" / "metrics.kv").read_text()
         assert "ap3d.Car.overall=0.00" in kv
 
+    def test_unscored_ground_truth_classes_are_named_in_one_warning(self, tmp_path, capsys):
+        van = GT_LINE.replace("Car", "Van", 1)
+        dontcare = "DontCare -1 -1 -10 50.0 50.0 60.0 60.0 -1 -1 -1 -1000 -1000 -1000 -10"
+        gt = "\n".join([van, van, GT_LINE.replace("Car", "Truck", 1), dontcare]) + "\n"
+        argv = _eval_argv(tmp_path, gt=gt, pred=van + " 0.90\n")
+        assert run_cli(*argv, "--out", str(tmp_path / "report")) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ")
+        assert "Truck (1 box)" in err[0] and "Van (2 boxes)" in err[0]
+        assert "DontCare" not in err[0]
+        kv = (tmp_path / "report" / "metrics.kv").read_text()
+        assert "ap3d.Car.overall=n/a" in kv and "Van" not in kv
+
+    def test_scored_classes_give_no_warning(self, tmp_path, capsys):
+        assert run_cli(*_eval_argv(tmp_path), "--out", str(tmp_path / "report")) == 0
+        assert capsys.readouterr().err == ""
+
     def test_unmatched_stems_exit_1(self, tmp_path, capsys):
         gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
         gt_dir.mkdir()

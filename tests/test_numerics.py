@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monopgc import numerics as nm
+from monopgc.dsat import _ones
 from monopgc.errors import DimensionError, DomainError, EvaluationError
 from monopgc.numerics import Tensor
 
@@ -68,6 +69,33 @@ class TestProduct:
         out = nm._product(a, b)
         assert out.dtype == dtype and out.shape == (n, m)
         assert np.array_equal(out, a @ b)
+
+    @staticmethod
+    def _repeated(x, how):
+        """x, or a zero-stride view repeating its first row, column or element."""
+        return {"none": x, "rows": np.broadcast_to(x[:1], x.shape),
+                "cols": np.broadcast_to(x[:, :1], x.shape),
+                "all": np.broadcast_to(x[0, 0], x.shape)}[how]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), k=st.integers(1, 4), m=st.integers(1, 6),
+           a_how=st.sampled_from(["none", "rows", "cols", "all"]),
+           b_how=st.sampled_from(["none", "rows", "cols", "all"]),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @example(n=576, k=1, m=64, a_how="none", b_how="all", dtype=np.float32, seed=0)  # stat @ ones
+    @example(n=576, k=1, m=64, a_how="all", b_how="none", dtype=np.float32, seed=0)  # ones @ row
+    @example(n=1, k=576, m=64, a_how="all", b_how="none", dtype=np.float32, seed=0)  # its vjp
+    def test_zero_stride_operands(self, n, k, m, a_how, b_how, dtype, seed):
+        rng = np.random.default_rng(seed)
+        a = self._repeated(rng.standard_normal((n, k)).astype(dtype), a_how)
+        b = self._repeated(rng.standard_normal((k, m)).astype(dtype), b_how)
+        out = nm._product(a, b)
+        assert out.dtype == dtype and out.shape == (n, m)
+        assert np.array_equal(out, np.ascontiguousarray(a) @ np.ascontiguousarray(b))
+        if k == 1 and (a.strides[0] == 0 or b.strides[1] == 0):
+            # an operand repeats along an output axis: the product is
+            # computed once and repeated, not written out
+            assert not out.flags.writeable and not out.flags.owndata
 
     def test_transposed_operands(self):
         # the vjps pass transposed views, e.g. a [K, 9C] weight's .T at K = 1
@@ -344,6 +372,13 @@ class TestGradientCheck:
             "matmul_column_output": (lambda x: (nm.matmul(x, v41) * c31).sum(), (3, 4)),
             "matmul_row_input": (lambda x: (nm.matmul(r14, x) * r13).sum(), (4, 3)),
             "conv2d_single_filter": (lambda x: (nm.conv2d(x, kern1) * c155).sum(), (2, 5, 5)),
+            # zero-stride ones operands, differentiated through the other
+            # operand: expand_rows' `ones @ row`, the layer-norm `stat @ ones`,
+            # and a GEMM with ones on either side
+            "matmul_ones_column_left": (lambda x: (nm.matmul(_ones((3, 1)), x) * c34).sum(), (1, 4)),
+            "matmul_ones_row_right": (lambda x: (nm.matmul(x, _ones((1, 4))) * c34).sum(), (3, 1)),
+            "matmul_ones_left": (lambda x: (nm.matmul(_ones((3, 4)), x) * c34).sum(), (4, 4)),
+            "matmul_ones_right": (lambda x: (nm.matmul(x, _ones((4, 4))) * c34).sum(), (3, 4)),
         }
 
     def test_every_kernel_matches_finite_differences(self):
