@@ -28,11 +28,19 @@ outer product with them is one row or column, computed once and held as
 a read-only broadcast view: the tape keeps each repeated vector once.
 elu's derivative is exp(min(x, 0)), the exponential its forward already
 computes, and relu's mask is read off its output, so neither keeps a
-derivative or a mask of its own.
+derivative or a mask of its own. relu, elu and sigmoid select with
+np.fmax instead of branching np.where: the same bits, NaN and the sign of
+zero included.
 
-backward() frees as it goes: each node drops its parents and vjp as it is
-visited, so the arrays a node saved are released during the sweep, and
-after it no tensor of the graph keeps a tape.
+The tape is a graph of `_Node`s, kept apart from the tensors' values: a
+result's node holds its vjp and its parents' nodes (a leaf parent is the
+Tensor itself), never an array of its own. A result's array therefore
+lives only while its tensor or some vjp holds it; an intermediate the
+caller drops and no vjp saved (an add's or a matmul's output, say) is
+freed during the forward pass. backward() frees as it goes: each node
+drops its parents and vjp as it is visited, so the arrays a node saved
+are released during the sweep, and after it no tensor of the graph keeps
+a tape.
 
 Broadcasting is restricted to python-scalar against tensor; any other
 shape mismatch raises DimensionError. Division by a tensor needs a
@@ -69,27 +77,44 @@ def check_mode():
         _MODE = prev
 
 
+class _Node:
+    """A result's place on the tape: its parents' tape entries and its vjp.
+
+    A node holds no array of its own, only what its vjp saved. Each entry of
+    `parents` is the parent's node for a result, the parent Tensor itself for
+    a leaf (a leaf receives `.grad`), or None for a parent that needed no
+    gradient when the node was made, which keeps `zip(parents, vjp(g))`
+    aligned. `done` marks a root that backward() has swept.
+    """
+
+    __slots__ = ("parents", "vjp", "done")
+
+    def __init__(self, parents, vjp):
+        self.parents = parents
+        self.vjp = vjp
+        self.done = False
+
+
 class Tensor:
     """A dense n-d array plus an optional place in the gradient tape.
 
     Tensors are immutable after creation except for gradient accumulation.
-    Results of operations record a backward closure and references to their
-    parents; calling backward() on a scalar output replays the recorded
-    operations once, in reverse topological order, and releases each one
-    as it goes.
+    A result that requires grad gets a `_Node`, which links to its parents'
+    nodes and holds its backward closure; the tape is the graph of nodes,
+    not of tensors, so a result's array lives only while its tensor or a
+    vjp holds it. Calling backward() on a scalar output replays the
+    recorded operations once, in reverse topological order, and releases
+    each one as it goes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op",
-                 "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "_op")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=current_dtype())
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._vjp = None
+        self._node = None
         self._op = "leaf"
-        self._backward_done = False
 
     @classmethod
     def _result(cls, data, parents, vjp, op):
@@ -97,15 +122,26 @@ class Tensor:
         out.data = data
         out.requires_grad = any(p.requires_grad for p in parents)
         out.grad = None
+        out._node = None
         if out.requires_grad:
-            out._parents = tuple(parents)
-            out._vjp = vjp
-        else:
-            out._parents = ()
-            out._vjp = None
+            out._node = _Node(tuple((p._node or p) if p.requires_grad else None
+                                    for p in parents), vjp)
         out._op = op
-        out._backward_done = False
         return out
+
+    @property
+    def _parents(self):
+        """The parents' tape entries; () for a leaf, a tapeless or a swept result."""
+        return self._node.parents if self._node is not None else ()
+
+    @property
+    def _vjp(self):
+        """The node's backward closure; settable, so a tracer can wrap it."""
+        return self._node.vjp if self._node is not None else None
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node.vjp = vjp
 
     # -- basic introspection -------------------------------------------------
 
@@ -142,54 +178,68 @@ class Tensor:
     def backward(self):
         """Reverse-mode sweep from this scalar output.
 
-        Each recorded operation is visited exactly once, and its node leaves
-        the order and drops its parents and vjp as it is visited, so what
-        the vjp saved is released during the sweep, not when the whole tape
-        is dropped. A second call on the same output is an error: rebuild
-        the forward graph instead of silently accumulating twice.
+        The sweep walks nodes, not tensors. Each recorded operation is
+        visited exactly once, and its node leaves the order and drops its
+        parents and vjp as it is visited, so what the vjp saved is released
+        during the sweep, not when the whole tape is dropped. Whether a
+        parent gets a gradient was decided when its child's node was made:
+        toggling `requires_grad` between a forward and its backward has no
+        effect (the package only switches it around whole forwards). A
+        second call on the same output is an error: rebuild the forward
+        graph instead of silently accumulating twice. A leaf output has no
+        tape: it only accumulates ones into its own `.grad`.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
-        if self._backward_done:
+        root = self._node
+        if root is None:
+            if self.requires_grad:
+                g = np.ones_like(self.data)
+                self.grad = g if self.grad is None else self.grad + g
+            return
+        if root.done:
             raise RuntimeError(
                 "backward() already ran for this graph; zero grads and rebuild "
                 "the forward pass before differentiating again")
-        self._backward_done = True
+        root.done = True
 
+        # vertices are nodes and the leaf Tensors that receive .grad
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
-            node, expanded = stack.pop()
+            vertex, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(vertex)
                 continue
-            if id(node) in visited:
+            if id(vertex) in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
+            visited.add(id(vertex))
+            stack.append((vertex, True))
+            if type(vertex) is _Node:
+                for p in vertex.parents:
+                    if p is not None and id(p) not in visited:
+                        stack.append((p, False))
 
-        grads = {id(self): np.ones_like(self.data)}
+        grads = {id(root): np.ones_like(self.data)}
         while topo:
-            node = topo.pop()
-            parents, vjp = node._parents, node._vjp
-            node._parents, node._vjp = (), None
-            g = grads.pop(id(node), None)
-            if g is None:
+            vertex = topo.pop()
+            g = grads.pop(id(vertex), None)
+            if type(vertex) is not _Node:
+                if g is not None:
+                    vertex.grad = g if vertex.grad is None else vertex.grad + g
                 continue
-            if vjp is not None:
-                for parent, pg in zip(parents, vjp(g)):
-                    if pg is None or not parent.requires_grad:
-                        continue
-                    if id(parent) in grads:
-                        grads[id(parent)] = grads[id(parent)] + pg
-                    else:
-                        grads[id(parent)] = pg
-            elif node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+            parents, vjp = vertex.parents, vertex.vjp
+            vertex.parents, vertex.vjp = (), None
+            if g is None or vjp is None:
+                continue
+            for parent, pg in zip(parents, vjp(g)):
+                if pg is None or parent is None:
+                    continue
+                if id(parent) in grads:
+                    grads[id(parent)] = grads[id(parent)] + pg
+                else:
+                    grads[id(parent)] = pg
 
     # -- operator sugar --------------------------------------------------------
 
@@ -319,7 +369,10 @@ def log(x):
 
 def relu(x):
     x = as_tensor(x)
-    data = np.where(x.data > 0, x.data, x.data.dtype.type(0))
+    # branch-free: fmax maps NaN to 0, but its zero's sign varies between
+    # numpy's vector and scalar loops, so adding +0 makes -0 map to +0
+    data = np.fmax(x.data, 0)
+    data += 0
     # data > 0 is the same set as x > 0, so no mask stays on the tape
     return Tensor._result(data, (x,), lambda g: (g * (data > 0),), "relu")
 
@@ -328,7 +381,7 @@ def elu(x):
     """x where x > 0, else exp(x) - 1 (alpha = 1)."""
     x = as_tensor(x)
     expm = np.exp(np.minimum(x.data, 0.0))  # exactly 1 where x > 0: the derivative
-    data = np.where(x.data > 0, x.data, expm - 1.0)
+    data = np.fmax(x.data, 0) + (expm - 1.0)  # expm - 1 is +0 where x > 0
     return Tensor._result(data, (x,), lambda g: (g * expm,), "elu")
 
 
@@ -337,7 +390,7 @@ def sigmoid(x):
     xd = x.data
     e = np.exp(-np.abs(xd))
     denom = 1.0 + e
-    out_data = np.where(xd >= 0, 1.0 / denom, e / denom)
+    out_data = np.fmax(e, xd >= 0) / denom  # numerator 1 where x >= 0, else e
     return Tensor._result(out_data, (x,),
                           lambda g: (g * out_data * (1.0 - out_data),), "sigmoid")
 

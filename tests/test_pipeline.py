@@ -6,6 +6,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -694,6 +695,34 @@ class TestTapeMemory:
 
     def test_peak_below_50_mb(self, sample_pass):
         assert sample_pass[2] < 50.0  # 63.5 MB with ones-products written out
+
+    def test_peak_below_25_mb(self, sample_pass):
+        # 44.8 MB while each result kept its parent tensors, and their arrays
+        assert sample_pass[2] < 25.0
+
+    def test_a_dropped_intermediate_is_freed_before_backward(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((4, 3)))
+        w = nm.parameter(rng.standard_normal((3, 2)))
+        b = Tensor(rng.standard_normal((4, 2)))
+        y = nm.matmul(x, w)
+        z = (y + b).sum()
+        freed = weakref.ref(y.data)
+        del y  # no vjp saved matmul's output: add saves nothing
+        assert freed() is None
+        z.backward()
+        np.testing.assert_allclose(w.grad, x.data.T @ np.ones((4, 2), np.float32), rtol=1e-6)
+
+    def test_an_array_a_vjp_saved_lives_until_backward(self):
+        a = nm.parameter([1.0, 2.0, 3.0])
+        h = a + 1.0
+        z = (h * Tensor([4.0, 5.0, 6.0])).sum()
+        saved = weakref.ref(h.data)
+        del h  # mul's vjp saved its operands
+        assert saved() is not None
+        z.backward()
+        np.testing.assert_array_equal(a.grad, [4.0, 5.0, 6.0])
+        assert saved() is None  # released by the sweep
 
     def test_backward_releases_the_tape(self, sample_pass):
         # the outputs are still referenced: what is held is their own data
