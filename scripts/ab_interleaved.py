@@ -13,7 +13,11 @@ thread before numpy loads.
 Set-up trains each side once for SETUP_STEPS steps and compares the log
 lines and every parameter's bits, and takes each side's tracemalloc peak
 over one sample's forward, loss and backward on a fresh model; it is not
-timed. Then each of ROUNDS
+timed. It also loads the parent side's trained parameters into a model of
+each side and compares every head map of IMAGES scenes' forwards (no tape)
+bit for bit, so a change that moves only the backward pass's rounding,
+and with it the trained parameters, can still show that its forward is
+unchanged. Then each of ROUNDS
 rounds runs, per side, inference (forward and decode, no tape) over IMAGES
 scenes with the model trained in set-up, and a ROUND_STEPS-step training
 run from a fresh model. The side that goes first alternates from round to
@@ -21,7 +25,8 @@ round, so a drift of the host's speed falls on both sides alike.
 
 One JSON line is printed: per side the median and quartiles of ms per
 image (inference) and ms per sample (training), the rounds each side won,
-the one-sample tracemalloc peak, and whether log lines, parameter bits and
+the one-sample tracemalloc peak, each side's last set-up log line, and
+whether log lines, parameter bits, forwards from the same parameters and
 detections were identical.
 """
 
@@ -101,6 +106,16 @@ class Side:
     def bits(self):
         return {name: p.data.view(np.uint32) for name, p in self.model.parameters().items()}
 
+    def head_map_bits(self, arrays):
+        """Each of IMAGES scenes' head maps as uint32 bits, from a model holding `arrays`."""
+        pipeline = self.pkg.pipeline
+        model = pipeline.MonoPGCModel(self.config)
+        model.load_state(arrays)
+        with pipeline._inference(model):
+            return [{name: value.data.view(np.uint32)
+                     for name, value in vars(model.forward(sample)["maps"]).items()}
+                    for sample in self.samples[:IMAGES]]
+
     def run_round(self):
         pipeline = self.pkg.pipeline
         t0 = time.perf_counter()
@@ -142,6 +157,8 @@ def main(argv=None):
         sides[side] = Side(pkg)
     parent, change = (sides[s] for s in SIDES)
     parent_bits, change_bits = parent.bits(), change.bits()
+    trained = {name: p.data for name, p in parent.model.parameters().items()}
+    parent_maps, change_maps = parent.head_map_bits(trained), change.head_map_bits(trained)
 
     for r in range(ROUNDS):
         for side in (SIDES if r % 2 == 0 else SIDES[::-1]):
@@ -159,9 +176,12 @@ def main(argv=None):
         "params_identical": (parent_bits.keys() == change_bits.keys()
                              and all(np.array_equal(parent_bits[k], change_bits[k])
                                      for k in parent_bits)),
+        "forward_identical": all(p.keys() == c.keys()
+                                 and all(np.array_equal(p[k], c[k]) for k in p)
+                                 for p, c in zip(parent_maps, change_maps)),
         "detections_identical": parent.detections == change.detections,
         "detections_per_round": sum(len(d) for d in parent.detections[0].values()),
-        "loss_end": parent.log_lines[-1],
+        "final_log_line": {side: sides[side].log_lines[-1] for side in SIDES},
         "environment": environment(),
     }
     print(json.dumps(report))

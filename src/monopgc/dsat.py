@@ -103,12 +103,19 @@ def linear(x, w, b=None):
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
-    """Per-token normalization over the embedding axis."""
+    """Per-token normalization over the embedding axis.
+
+    The statistics are [N, 1] columns. The inverse deviation is computed on
+    its column and only then spread over the embedding axis as a broadcast
+    view, so the tape keeps N values per step, not N * E. The mean is
+    spread first: `x - mu` against a view keeps the order in which the
+    variance is summed, and with it the bits of the output.
+    """
     n, e = x.shape
     mu = nm.matmul(x.mean(axis=1, keepdims=True), _ones((1, e)))
     xc = x - mu
-    var = nm.matmul((xc * xc).mean(axis=1, keepdims=True), _ones((1, e)))
-    rstd = nm.exp(nm.log(var + eps) * -0.5)
+    var = (xc * xc).mean(axis=1, keepdims=True)                # [N, 1]
+    rstd = nm.matmul(nm.exp(nm.log(var + eps) * -0.5), _ones((1, e)))
     return (xc * rstd) * expand_rows(gamma, n) + expand_rows(beta, n)
 
 
@@ -159,8 +166,7 @@ def linear_attention(q, k, v):
     num = nm.matmul(phi_q, s)                                  # [N, Ev]
     ksum = nm.reduce_sum(phi_k, axis=0, keepdims=True)         # [1, E]
     den = nm.matmul(phi_q, nm.transpose(ksum, (1, 0)))         # [N, 1]
-    den_full = nm.matmul(den, _ones((1, v.shape[1])))
-    return num * nm.reciprocal(den_full)
+    return num * nm.matmul(nm.reciprocal(den), _ones((1, v.shape[1])))
 
 
 def linear_attention_reference(q, k, v):

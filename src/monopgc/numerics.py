@@ -10,8 +10,10 @@ reshape and transpose. Everything else in the package composes from
 these (subtraction and division are provided as compositions).
 
 conv2d is one GEMM, weight[K, 9C] @ im2col(x)[9C, H*W]; its vjp is two
-GEMMs and a col2im over columns rebuilt from the padded input, never kept
-on the tape. Bilinear resize and adaptive average pooling are the same
+GEMMs and a col2im. The vjp keeps the unpadded input, and only when the
+filter needs a gradient: the padded input and its columns are rebuilt in
+the backward pass, never kept on the tape, and the input gradient needs
+only shapes. Bilinear resize and adaptive average pooling are the same
 separable linear map, out[c] = Wy @ x[c] @ Wx^T, with the vjp
 Wy^T @ g @ Wx; each kernel only builds its two 1-d weight matrices.
 
@@ -84,7 +86,7 @@ class _Node:
     `parents` is the parent's node for a result, the parent Tensor itself for
     a leaf (a leaf receives `.grad`), or None for a parent that needed no
     gradient when the node was made, which keeps `zip(parents, vjp(g))`
-    aligned. `done` marks a root that backward() has swept.
+    aligned. `done` marks a node that a backward() sweep has visited.
     """
 
     __slots__ = ("parents", "vjp", "done")
@@ -185,9 +187,12 @@ class Tensor:
         parent gets a gradient was decided when its child's node was made:
         toggling `requires_grad` between a forward and its backward has no
         effect (the package only switches it around whole forwards). A
-        second call on the same output is an error: rebuild the forward
-        graph instead of silently accumulating twice. A leaf output has no
-        tape: it only accumulates ones into its own `.grad`.
+        sweep that reaches a node an earlier sweep visited is an error,
+        raised before any gradient moves: that node no longer links to its
+        parents, so the gradient through it would be lost. A second call on
+        the same output is the simplest such case; rebuild the forward graph
+        instead. A leaf output has no tape: it only accumulates ones into
+        its own `.grad`.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
@@ -197,11 +202,6 @@ class Tensor:
                 g = np.ones_like(self.data)
                 self.grad = g if self.grad is None else self.grad + g
             return
-        if root.done:
-            raise RuntimeError(
-                "backward() already ran for this graph; zero grads and rebuild "
-                "the forward pass before differentiating again")
-        root.done = True
 
         # vertices are nodes and the leaf Tensors that receive .grad
         topo = []
@@ -217,6 +217,11 @@ class Tensor:
             visited.add(id(vertex))
             stack.append((vertex, True))
             if type(vertex) is _Node:
+                if vertex.done:
+                    raise RuntimeError(
+                        "backward() reached a node an earlier backward() already "
+                        "swept; zero grads and rebuild the forward pass before "
+                        "differentiating again")
                 for p in vertex.parents:
                     if p is not None and id(p) not in visited:
                         stack.append((p, False))
@@ -230,7 +235,7 @@ class Tensor:
                     vertex.grad = g if vertex.grad is None else vertex.grad + g
                 continue
             parents, vjp = vertex.parents, vertex.vjp
-            vertex.parents, vertex.vjp = (), None
+            vertex.parents, vertex.vjp, vertex.done = (), None, True
             if g is None or vjp is None:
                 continue
             for parent, pg in zip(parents, vjp(g)):
@@ -454,6 +459,14 @@ def matmul(a, b):
     return Tensor._result(data, (a, b), vjp, "matmul")
 
 
+def _pad(x):
+    """[C, H, W] -> [C, H+2, W+2] with a zero border."""
+    C, H, W = x.shape
+    padded = np.zeros((C, H + 2, W + 2), dtype=x.dtype)
+    padded[:, 1:H + 1, 1:W + 1] = x
+    return padded
+
+
 def _im2col(padded, H, W):
     """[C, H+2, W+2] -> [9C, H*W]; row 9c + 3dy + dx is padded[c, dy:dy+H, dx:dx+W]."""
     windows = sliding_window_view(padded, (3, 3), axis=(1, 2))  # [C, H, W, 3, 3]
@@ -480,23 +493,23 @@ def conv2d(x, weight, bias=None):
 
     C, H, W = x.shape
     K = weight.shape[0]
-    padded = np.zeros((C, H + 2, W + 2), dtype=x.data.dtype)
-    padded[:, 1:H + 1, 1:W + 1] = x.data
     w2 = weight.data.reshape(K, 9 * C)
-    out = (w2 @ _im2col(padded, H, W)).reshape(K, H, W)
+    out = (w2 @ _im2col(_pad(x.data), H, W)).reshape(K, H, W)
     if bias is not None:
         out += bias.data[:, None, None]
 
     need_x, need_w = x.requires_grad, weight.requires_grad
+    dtype = x.data.dtype
+    xd = x.data if need_w else None  # the input gradient needs only shapes
 
     def vjp(g):
         g2 = g.reshape(K, H * W)
         gx = gw = None
         if need_w:
-            gw = _product(g2, _im2col(padded, H, W).T).reshape(weight.shape)
+            gw = _product(g2, _im2col(_pad(xd), H, W).T).reshape(weight.shape)
         if need_x:
             gcols = _product(w2.T, g2).reshape(C, 3, 3, H, W)
-            gx_padded = np.zeros_like(padded)
+            gx_padded = np.zeros((C, H + 2, W + 2), dtype=dtype)
             for dy in range(3):
                 for dx in range(3):
                     gx_padded[:, dy:dy + H, dx:dx + W] += gcols[:, dy, dx]

@@ -48,6 +48,12 @@ def check_numerics_gradients():
             "matmul_ones_row_right": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, dsat._ones((1, 4))) * w).sum(), (3, 1)),
             "matmul_ones_left": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(dsat._ones((3, 4)), x) * w).sum(), (4, 4)),
             "matmul_ones_right": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, dsat._ones((4, 4))) * w).sum(), (3, 4)),
+            # statistics taken on [N, 1] columns before their ones-products
+            "layer_norm_x": (lambda x, g=Tensor(rng.standard_normal(4)), b=Tensor(rng.standard_normal(4)), w=Tensor(rng.standard_normal((3, 4))): (dsat.layer_norm(x, g, b) * w).sum(), (3, 4)),
+            "layer_norm_gamma": (lambda g, x=Tensor(rng.standard_normal((3, 4))), b=Tensor(rng.standard_normal(4)), w=Tensor(rng.standard_normal((3, 4))): (dsat.layer_norm(x, g, b) * w).sum(), (4,)),
+            "layer_norm_beta": (lambda b, x=Tensor(rng.standard_normal((3, 4))), g=Tensor(rng.standard_normal(4)), w=Tensor(rng.standard_normal((3, 4))): (dsat.layer_norm(x, g, b) * w).sum(), (4,)),
+            "attention_keys": (lambda k, q=Tensor(rng.standard_normal((3, 4))), v=Tensor(rng.standard_normal((5, 2))), w=Tensor(rng.standard_normal((3, 2))): (dsat.linear_attention(q, k, v) * w).sum(), (5, 4)),
+            "attention_values": (lambda v, q=Tensor(rng.standard_normal((3, 4))), k=Tensor(rng.standard_normal((5, 4))), w=Tensor(rng.standard_normal((3, 2))): (dsat.linear_attention(q, k, v) * w).sum(), (5, 2)),
         }
         inputs = {name: Tensor(rng.standard_normal(shape)) for name, (f, shape) in cases.items()}
     for name, (f, shape) in cases.items():

@@ -91,6 +91,24 @@ class TestLinearAttention:
         err = nm.gradient_check(f, Tensor(rng.standard_normal((5, 3))), epsilon=1e-5)
         assert err <= 1e-4
 
+    @pytest.mark.parametrize("operand", ["k", "v"])
+    def test_gradient_wrt_keys_and_values(self, operand):
+        # the denominator's reciprocal is taken on its [N, 1] column, so the
+        # gradient into k sums over the value width before exp and log
+        rng = np.random.default_rng(6)
+        with nm.check_mode():
+            ops = {"q": Tensor(rng.standard_normal((5, 3))),
+                   "k": Tensor(rng.standard_normal((4, 3))),
+                   "v": Tensor(rng.standard_normal((4, 2)))}
+            w = Tensor(rng.standard_normal((5, 2)))
+
+        def f(x):
+            args = {**ops, operand: x}
+            return (dsat.linear_attention(args["q"], args["k"], args["v"]) * w).sum()
+
+        err = nm.gradient_check(f, ops[operand], epsilon=1e-5)
+        assert err <= 1e-4
+
 
 class TestTokenPlumbing:
     def test_round_trip(self):
@@ -116,6 +134,24 @@ class TestTokenPlumbing:
             out = dsat.layer_norm(x, g, b).data
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-4)
+
+    @pytest.mark.parametrize("operand", ["x", "gamma", "beta"])
+    def test_layer_norm_gradient(self, operand):
+        # the inverse deviation is computed on its [N, 1] column, so the
+        # gradient sums over the embedding axis before exp and log
+        rng = np.random.default_rng(2)
+        with nm.check_mode():
+            ops = {"x": Tensor(rng.standard_normal((6, 8)) * 3 + 1),
+                   "gamma": Tensor(rng.standard_normal(8)),
+                   "beta": Tensor(rng.standard_normal(8))}
+            w = Tensor(rng.standard_normal((6, 8)))
+
+        def f(t):
+            args = {**ops, operand: t}
+            return (dsat.layer_norm(args["x"], args["gamma"], args["beta"]) * w).sum()
+
+        err = nm.gradient_check(f, ops[operand], epsilon=1e-5)
+        assert err <= 1e-4
 
 
 class TestEncoder:

@@ -470,6 +470,16 @@ class TestTapeSemantics:
             y.backward()
         np.testing.assert_array_equal(x.grad, grad)
 
+    def test_a_sweep_reaching_a_swept_node_raises(self):
+        x = nm.parameter([1.0, 2.0])
+        h = x * 3.0
+        a = (h * 1.0).sum()
+        b = (h * 1.0).sum()
+        a.backward()
+        with pytest.raises(RuntimeError, match="already swept"):
+            b.backward()  # h's node no longer links to x: 3 would be lost
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
     def test_backward_from_a_leaf_scalar(self):
         x = Tensor([3.0], requires_grad=True)
         x.backward()

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from monopgc import dcpm, numerics as nm, pipeline
+from monopgc import dcpm, dsat, numerics as nm, pipeline
 from monopgc.config import RunConfig, parse_config_text
 from monopgc.dcpm import IGNORE_BIN
 from monopgc.errors import ConfigError, DimensionError, HelperError
@@ -551,6 +551,20 @@ class TestSplitPredictions:
         _assert_no_child()
 
 
+def _saved_arrays(t):
+    """Every ndarray that a vjp on `t`'s tape holds in its closure."""
+    seen, stack = set(), [t._node]
+    while stack:
+        node = stack.pop()
+        if type(node) is not nm._Node or id(node) in seen:
+            continue
+        seen.add(id(node))
+        for cell in node.vjp.__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                yield cell.cell_contents
+        stack.extend(node.parents)
+
+
 def _tensors(node):
     """Every Tensor reachable from a forward's outputs (dicts, sequences, dataclasses)."""
     if isinstance(node, Tensor):
@@ -699,6 +713,34 @@ class TestTapeMemory:
     def test_peak_below_25_mb(self, sample_pass):
         # 44.8 MB while each result kept its parent tensors, and their arrays
         assert sample_pass[2] < 25.0
+
+    def test_peak_below_18_mb(self, sample_pass):
+        # 21.3 MB while layer-norm and attention statistics were spread to
+        # [N, E] before exp and log, and each conv2d kept a padded input
+        assert sample_pass[2] < 18.0
+
+    def test_layer_norm_keeps_no_full_width_statistics(self):
+        rng = np.random.default_rng(0)
+        x = nm.parameter(rng.standard_normal((576, 64))) * 1.0
+        out = dsat.layer_norm(x, nm.parameter(np.ones(64)), nm.zeros_param((64,)))
+        full = [a for a in _saved_arrays(out) if a.shape == (576, 64) and 0 not in a.strides]
+        assert full  # the centred input, which its square and xc * rstd saved
+        # a row-constant array would be the variance or rstd written out
+        assert not any((a == a[:, :1]).all() for a in full)
+
+    @pytest.mark.parametrize("filter_grad", [False, True])
+    def test_conv2d_keeps_its_input_not_a_padded_copy(self, filter_grad):
+        rng = np.random.default_rng(0)
+        h = nm.parameter(rng.standard_normal((8, 32, 32))) * 1.0
+        w = Tensor(rng.standard_normal((2, 8, 3, 3)), requires_grad=filter_grad)
+        out = nm.conv2d(h, w)
+        data, alive = h.data, weakref.ref(h.data)
+        del h
+        saved = [a for a in _saved_arrays(out) if a.size >= data.size]
+        # the filter's gradient reads the input itself; the input's needs shapes only
+        assert [a is data for a in saved] == ([True] if filter_grad else [])
+        del data
+        assert (alive() is not None) == filter_grad
 
     def test_a_dropped_intermediate_is_freed_before_backward(self):
         rng = np.random.default_rng(0)
