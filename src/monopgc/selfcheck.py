@@ -4,7 +4,10 @@ Each check returns (passed, detail). The suite covers gradient fidelity of
 the kernels, depth-bin round trips, projection round trips, the linear
 attention reference, depth-gradient edge semantics, IoU against the
 rasterization oracle, and the AP reference cases. A deliberate-corruption
-hook exists for testing the harness itself.
+hook exists for testing the harness itself. The kernels' float64 gradient
+cases are declared once, in `gradient_cases`, which this suite and the
+acceptance tests read; the table is built only when called, so importing
+this module builds nothing.
 """
 
 from __future__ import annotations
@@ -20,44 +23,90 @@ from .numerics import Tensor
 KITTI_SPEC = geo.DepthBinSpec(2.0, 46.8, 64)
 
 
-def check_numerics_gradients():
-    rng = np.random.default_rng(0)
-    worst = 0.0
+def gradient_cases(rng):
+    """Every float64 gradient case of the kernel set: {name: (f, shape)}.
+
+    Each f maps an input of `shape` to a scalar and binds its constants as
+    default arguments, drawn from `rng` in float64, so it is a fixed function
+    of its input. Most weight a kernel's output by a random constant, so that
+    every output element's gradient counts. There is one case per operand
+    and per vjp path; a new kernel needs a case that puts its op tag on the
+    tape, or tests/test_numerics.py::TestGradientCases fails.
+    """
+    def r(*shape):
+        return Tensor(rng.standard_normal(shape))
+
     with nm.check_mode():
-        # constants bound as defaults so each f is a fixed function of x
-        cases = {
-            "matmul": (lambda x, w=Tensor(rng.standard_normal((4, 3))): nm.matmul(x, w).sum(), (3, 4)),
-            "conv2d": (lambda x, k=Tensor(rng.standard_normal((2, 2, 3, 3))),
-                       w=Tensor(rng.standard_normal((2, 4, 4))): (nm.conv2d(x, k) * w).sum(), (2, 4, 4)),
-            "softmax": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.softmax(x, axis=1) * w).sum(), (3, 4)),
+        return {
+            # elementwise kernels and their compositions
+            "add": (lambda x, c=r(3, 4): (x + c).sum(), (3, 4)),
+            "mul": (lambda x, c=r(3, 4): (x * c).sum(), (3, 4)),
+            "mul_scalar": (lambda x: (x * 2.5).sum(), (3, 4)),
+            "exp": (lambda x: nm.exp(x).sum(), (3, 4)),
+            "log": (lambda x: nm.log(x * x + 1.0).sum(), (3, 4)),
+            "exp_log": (lambda x: nm.log(nm.exp(x) + 1.0).sum(), (3, 4)),
+            "division": (lambda x, c=r(3, 4): ((x * c) / (x * x + 1.0)).sum(), (3, 4)),
             "elu": (lambda x: nm.elu(x).sum(), (3, 4)),
+            "relu": (lambda x: nm.relu(x).sum(), (3, 4)),
             "sigmoid": (lambda x: nm.sigmoid(x).sum(), (3, 4)),
-            "resize": (lambda x, w=Tensor(rng.standard_normal((2, 5, 7))): (nm.bilinear_resize(x, (5, 7)) * w).sum(), (2, 3, 4)),
-            "maxpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 2))): (nm.max_pool2d(x, 2) * w).sum(), (2, 4, 4)),
-            "avgpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 3))): (nm.adaptive_avg_pool2d(x, (2, 3)) * w).sum(), (2, 5, 7)),
-            "conv2d_weight": (lambda k, x=Tensor(rng.standard_normal((2, 4, 4))), b=Tensor(rng.standard_normal(2)): (nm.conv2d(x, k, b) * x).sum(), (2, 2, 3, 3)),
-            "conv2d_bias": (lambda b, x=Tensor(rng.standard_normal((2, 4, 4))), k=Tensor(rng.standard_normal((2, 2, 3, 3))): (nm.conv2d(x, k, b) * x).sum(), (2,)),
-            # rank-1 products, which run as broadcast multiplies
-            "matmul_outer_column": (lambda x, r=Tensor(rng.standard_normal((1, 4))), w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, r) * w).sum(), (3, 1)),
-            "matmul_outer_row": (lambda x, c=Tensor(rng.standard_normal((3, 1))), w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(c, x) * w).sum(), (1, 4)),
-            "matmul_column_output": (lambda x, v=Tensor(rng.standard_normal((4, 1))), w=Tensor(rng.standard_normal((3, 1))): (nm.matmul(x, v) * w).sum(), (3, 4)),
-            "matmul_row_input": (lambda x, r=Tensor(rng.standard_normal((1, 4))), w=Tensor(rng.standard_normal((1, 3))): (nm.matmul(r, x) * w).sum(), (4, 3)),
-            "conv2d_single_filter": (lambda x, k=Tensor(rng.standard_normal((1, 2, 3, 3))), w=Tensor(rng.standard_normal((1, 4, 4))): (nm.conv2d(x, k) * w).sum(), (2, 4, 4)),
-            # zero-stride ones operands, as expand_rows and layer norm use them
-            "matmul_ones_column_left": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(dsat._ones((3, 1)), x) * w).sum(), (1, 4)),
-            "matmul_ones_row_right": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, dsat._ones((1, 4))) * w).sum(), (3, 1)),
-            "matmul_ones_left": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(dsat._ones((3, 4)), x) * w).sum(), (4, 4)),
-            "matmul_ones_right": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.matmul(x, dsat._ones((4, 4))) * w).sum(), (3, 4)),
-            # statistics taken on [N, 1] columns before their ones-products
-            "layer_norm_x": (lambda x, g=Tensor(rng.standard_normal(4)), b=Tensor(rng.standard_normal(4)), w=Tensor(rng.standard_normal((3, 4))): (dsat.layer_norm(x, g, b) * w).sum(), (3, 4)),
-            "layer_norm_gamma": (lambda g, x=Tensor(rng.standard_normal((3, 4))), b=Tensor(rng.standard_normal(4)), w=Tensor(rng.standard_normal((3, 4))): (dsat.layer_norm(x, g, b) * w).sum(), (4,)),
-            "layer_norm_beta": (lambda b, x=Tensor(rng.standard_normal((3, 4))), g=Tensor(rng.standard_normal(4)), w=Tensor(rng.standard_normal((3, 4))): (dsat.layer_norm(x, g, b) * w).sum(), (4,)),
-            "attention_keys": (lambda k, q=Tensor(rng.standard_normal((3, 4))), v=Tensor(rng.standard_normal((5, 2))), w=Tensor(rng.standard_normal((3, 2))): (dsat.linear_attention(q, k, v) * w).sum(), (5, 4)),
-            "attention_values": (lambda v, q=Tensor(rng.standard_normal((3, 4))), k=Tensor(rng.standard_normal((5, 4))), w=Tensor(rng.standard_normal((3, 2))): (dsat.linear_attention(q, k, v) * w).sum(), (5, 2)),
+            # softmax and reductions, over either axis
+            "softmax_axis0": (lambda x, c=r(3, 4): (nm.softmax(x, axis=0) * c).sum(), (3, 4)),
+            "softmax_axis1": (lambda x, c=r(3, 4): (nm.softmax(x, axis=1) * c).sum(), (3, 4)),
+            "mean_axis0": (lambda x: nm.reduce_mean(x, axis=0).sum(), (3, 4)),
+            "mean_axis1": (lambda x: nm.reduce_mean(x, axis=1).sum(), (3, 4)),
+            # shape ops
+            "concat": (lambda x, c=r(6, 4): (nm.concat([x, x * 2.0], axis=0) * c).sum(), (3, 4)),
+            "reshape_transpose": (lambda x, c=r(3, 4): (nm.transpose(nm.reshape(x, (4, 3)), (1, 0)) * c).sum(), (3, 4)),
+            # pooling and resampling
+            "maxpool": (lambda x, c=r(2, 2, 2): (nm.max_pool2d(x, 2) * c).sum(), (2, 4, 4)),
+            "avgpool": (lambda x, c=r(2, 2, 3): (nm.adaptive_avg_pool2d(x, (2, 3)) * c).sum(), (2, 5, 7)),
+            "resize": (lambda x, c=r(2, 6, 8): (nm.bilinear_resize(x, (6, 8)) * c).sum(), (2, 3, 4)),
+            # matmul as a GEMM, as rank-1 products (broadcast multiplies), and
+            # with zero-stride ones operands, as expand_rows and layer norm use
+            # them, differentiated through the other operand
+            "matmul": (lambda x, w=r(4, 2): nm.matmul(x, w).sum(), (3, 4)),
+            "matmul_outer_column": (lambda x, a=r(1, 4), c=r(3, 4): (nm.matmul(x, a) * c).sum(), (3, 1)),
+            "matmul_outer_row": (lambda x, a=r(3, 1), c=r(3, 4): (nm.matmul(a, x) * c).sum(), (1, 4)),
+            "matmul_column_output": (lambda x, a=r(4, 1), c=r(3, 1): (nm.matmul(x, a) * c).sum(), (3, 4)),
+            "matmul_row_input": (lambda x, a=r(1, 4), c=r(1, 3): (nm.matmul(a, x) * c).sum(), (4, 3)),
+            "matmul_ones_column_left": (lambda x, c=r(3, 4): (nm.matmul(dsat._ones((3, 1)), x) * c).sum(), (1, 4)),
+            "matmul_ones_row_right": (lambda x, c=r(3, 4): (nm.matmul(x, dsat._ones((1, 4))) * c).sum(), (3, 1)),
+            "matmul_ones_left": (lambda x, c=r(3, 4): (nm.matmul(dsat._ones((3, 4)), x) * c).sum(), (4, 4)),
+            "matmul_ones_right": (lambda x, c=r(3, 4): (nm.matmul(x, dsat._ones((4, 4))) * c).sum(), (3, 4)),
+            # conv2d's input gradient with and without a bias and with one
+            # filter (a rank-1 product), and the filter and bias gradients
+            "conv2d": (lambda x, k=r(3, 2, 3, 3), b=r(3), c=r(3, 5, 5): (nm.conv2d(x, k, b) * c).sum(), (2, 5, 5)),
+            "conv2d_no_bias": (lambda x, k=r(3, 2, 3, 3), c=r(3, 5, 5): (nm.conv2d(x, k) * c).sum(), (2, 5, 5)),
+            "conv2d_single_filter": (lambda x, k=r(1, 2, 3, 3), c=r(1, 5, 5): (nm.conv2d(x, k) * c).sum(), (2, 5, 5)),
+            "conv2d_weight": (lambda k, x=r(2, 5, 5), b=r(3), c=r(3, 5, 5): (nm.conv2d(x, k, b) * c).sum(), (3, 2, 3, 3)),
+            "conv2d_bias": (lambda b, x=r(2, 5, 5), k=r(3, 2, 3, 3), c=r(3, 5, 5): (nm.conv2d(x, k, b) * c).sum(), (3,)),
+            # the DSAT compositions whose statistics are [N, 1] columns, with
+            # respect to each operand
+            "layer_norm_x": (lambda x, g=r(4), b=r(4), c=r(3, 4): (dsat.layer_norm(x, g, b) * c).sum(), (3, 4)),
+            "layer_norm_gamma": (lambda g, x=r(3, 4), b=r(4), c=r(3, 4): (dsat.layer_norm(x, g, b) * c).sum(), (4,)),
+            "layer_norm_beta": (lambda b, x=r(3, 4), g=r(4), c=r(3, 4): (dsat.layer_norm(x, g, b) * c).sum(), (4,)),
+            "attention_q": (lambda q, k=r(4, 3), v=r(4, 2), c=r(5, 2): (dsat.linear_attention(q, k, v) * c).sum(), (5, 3)),
+            "attention_k": (lambda k, q=r(5, 3), v=r(4, 2), c=r(5, 2): (dsat.linear_attention(q, k, v) * c).sum(), (4, 3)),
+            "attention_v": (lambda v, q=r(5, 3), k=r(4, 3), c=r(5, 2): (dsat.linear_attention(q, k, v) * c).sum(), (4, 2)),
         }
-        inputs = {name: Tensor(rng.standard_normal(shape)) for name, (f, shape) in cases.items()}
-    for name, (f, shape) in cases.items():
-        err = nm.gradient_check(f, inputs[name], epsilon=1e-5)
+
+
+def gradient_trials(seed):
+    """The table at one seed: {name: (f, x)}.
+
+    The constants are drawn first, then every input x by the one input rule:
+    float64 standard normal plus 0.1.
+    """
+    rng = np.random.default_rng(seed)
+    with nm.check_mode():
+        cases = gradient_cases(rng)
+        return {name: (f, Tensor(rng.standard_normal(shape) + 0.1)) for name, (f, shape) in cases.items()}
+
+
+def check_numerics_gradients():
+    worst = 0.0
+    for name, (f, x) in gradient_trials(0).items():
+        err = nm.gradient_check(f, x, epsilon=1e-5)
         worst = max(worst, err)
         if err > 1e-4:
             return False, f"gradient of {name} off by {err:.3e}"

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line, and
+a test that criterion 1's kernel sweep fails on a wrong vjp.
 
 Run with `pytest tests/test_acceptance.py -v` (the two training studies take
 several minutes each on a laptop CPU). Tolerances are fixed here, not
@@ -11,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from monopgc import data, dsat, evaluation as ev, geometry as geo, numerics as nm
+from monopgc import data, dsat, evaluation as ev, geometry as geo, numerics as nm, selfcheck
 from monopgc.checkpoint import load_checkpoint, save_checkpoint
 from monopgc.config import RunConfig, parse_config_text
 from monopgc.evaluation import BevBox
@@ -35,31 +36,11 @@ def report(criterion, detail):
 
 
 def _kernel_gradient_sweep():
+    # every case of the package's one gradient table, at ten seeds
     worst = 0.0
     for seed in range(10):
-        rng = np.random.default_rng(seed * 31 + 7)
-        with nm.check_mode():
-            cases = {
-                "matmul": (lambda x, w=Tensor(rng.standard_normal((4, 3))): nm.matmul(x, w).sum(), (3, 4)),
-                "conv2d": (lambda x, k=Tensor(rng.standard_normal((3, 2, 3, 3))),
-                           b=Tensor(rng.standard_normal(3)),
-                           w=Tensor(rng.standard_normal((3, 5, 5))): (nm.conv2d(x, k, b) * w).sum(), (2, 5, 5)),
-                "softmax": (lambda x, w=Tensor(rng.standard_normal((3, 4))): (nm.softmax(x, axis=0) * w).sum(), (3, 4)),
-                "elu": (lambda x: nm.elu(x).sum(), (3, 4)),
-                "relu": (lambda x: nm.relu(x).sum(), (3, 4)),
-                "sigmoid": (lambda x: nm.sigmoid(x).sum(), (3, 4)),
-                "exp_log": (lambda x: nm.log(nm.exp(x) + 1.0).sum(), (3, 4)),
-                "mean": (lambda x: nm.reduce_mean(x, axis=0).sum(), (3, 4)),
-                "resize": (lambda x, w=Tensor(rng.standard_normal((2, 6, 8))): (nm.bilinear_resize(x, (6, 8)) * w).sum(), (2, 3, 4)),
-                "maxpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 2))): (nm.max_pool2d(x, 2) * w).sum(), (2, 4, 4)),
-                "avgpool": (lambda x, w=Tensor(rng.standard_normal((2, 2, 3))): (nm.adaptive_avg_pool2d(x, (2, 3)) * w).sum(), (2, 5, 7)),
-                "attention": (lambda x, k=Tensor(rng.standard_normal((4, 3))),
-                              v=Tensor(rng.standard_normal((4, 3))),
-                              w=Tensor(rng.standard_normal((5, 3))): (dsat.linear_attention(x, k, v) * w).sum(), (5, 3)),
-            }
-            inputs = {n: Tensor(rng.standard_normal(s) + 0.05) for n, (f, s) in cases.items()}
-        for name, (f, _) in cases.items():
-            err = nm.gradient_check(f, inputs[name], epsilon=1e-5)
+        for name, (f, x) in selfcheck.gradient_trials(seed * 31 + 7).items():
+            err = nm.gradient_check(f, x, epsilon=1e-5)
             assert err <= 1e-4, f"{name} gradient error {err:.3e} (seed {seed})"
             worst = max(worst, err)
     return worst
@@ -115,6 +96,21 @@ def test_criterion_1_gradient_fidelity():
     assert elapsed <= 120, f"gradient fidelity took {elapsed:.0f}s (> 2 min)"
     report(1, f"per-op worst {worst_op:.2e} (<=1e-4), end-to-end worst "
               f"{worst_e2e:.2e} (<=1e-3), {elapsed:.0f}s")
+
+
+def test_criterion_1_sweep_fails_on_a_wrong_vjp(monkeypatch):
+    sigmoid = nm.sigmoid
+
+    def wrong_sigmoid(x):
+        # the right values, with a vjp that drops the factor 1 - s
+        s = sigmoid(x)
+        return Tensor._result(s.data, (x,), lambda g: (g * s.data,), "sigmoid")
+
+    monkeypatch.setattr(nm, "sigmoid", wrong_sigmoid)
+    ok, detail = selfcheck.check_numerics_gradients()
+    assert not ok and detail.startswith("gradient of sigmoid off by")
+    with pytest.raises(AssertionError, match="sigmoid gradient error"):
+        _kernel_gradient_sweep()
 
 
 # -- 2. LID exactness -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from monopgc import cli, data, errors, pipeline
+from monopgc import cli, data, errors, pipeline, selfcheck
 from monopgc.checkpoint import load_checkpoint, save_checkpoint
 from monopgc.config import load_config
 from monopgc.errors import DimensionError, MonoPGCError
@@ -588,6 +588,12 @@ def test_infer_takes_no_seed(tmp_path, capsys):
 
 
 class TestSelfcheckCommand:
+    def test_full_suite_passes(self, capsys):
+        assert run_cli("selfcheck") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [f"[PASS] {name}" for name, _ in selfcheck.CHECKS]
+        assert lines[-1] == f"selfcheck passed ({len(selfcheck.CHECKS)} checks)"
+
     def test_filtered_geometry_passes(self, capsys):
         assert run_cli("selfcheck", "--only", "geometry") == 0
         out = capsys.readouterr().out

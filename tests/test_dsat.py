@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from monopgc import dsat, geometry as geo, numerics as nm
+from monopgc import dsat, geometry as geo, numerics as nm, selfcheck
 from monopgc.dcpm import DepthDistribution
 from monopgc.errors import ConfigError, DimensionError
 from monopgc.numerics import Tensor
@@ -12,6 +12,12 @@ KITTI_SPEC = geo.DepthBinSpec(2.0, 46.8, 64)
 def make_depth_distribution(logits):
     t = logits if isinstance(logits, Tensor) else Tensor(logits)
     return DepthDistribution(logits=t, probabilities=nm.softmax(t, axis=0))
+
+
+def _table_gradient_error(name):
+    # layer norm's and attention's float64 cases are entries of selfcheck's table
+    f, x = selfcheck.gradient_trials(0)[name]
+    return nm.gradient_check(f, x, epsilon=1e-5)
 
 
 class TestLinearAttention:
@@ -79,35 +85,13 @@ class TestLinearAttention:
             dsat.linear_attention(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))))
 
     def test_gradient(self):
-        rng = np.random.default_rng(5)
-        with nm.check_mode():
-            k = Tensor(rng.standard_normal((4, 3)))
-            v = Tensor(rng.standard_normal((4, 3)))
-            w = Tensor(rng.standard_normal((5, 3)))
-
-        def f(q):
-            return (dsat.linear_attention(q, k, v) * w).sum()
-
-        err = nm.gradient_check(f, Tensor(rng.standard_normal((5, 3))), epsilon=1e-5)
-        assert err <= 1e-4
+        assert _table_gradient_error("attention_q") <= 1e-4
 
     @pytest.mark.parametrize("operand", ["k", "v"])
     def test_gradient_wrt_keys_and_values(self, operand):
         # the denominator's reciprocal is taken on its [N, 1] column, so the
         # gradient into k sums over the value width before exp and log
-        rng = np.random.default_rng(6)
-        with nm.check_mode():
-            ops = {"q": Tensor(rng.standard_normal((5, 3))),
-                   "k": Tensor(rng.standard_normal((4, 3))),
-                   "v": Tensor(rng.standard_normal((4, 2)))}
-            w = Tensor(rng.standard_normal((5, 2)))
-
-        def f(x):
-            args = {**ops, operand: x}
-            return (dsat.linear_attention(args["q"], args["k"], args["v"]) * w).sum()
-
-        err = nm.gradient_check(f, ops[operand], epsilon=1e-5)
-        assert err <= 1e-4
+        assert _table_gradient_error(f"attention_{operand}") <= 1e-4
 
 
 class TestTokenPlumbing:
@@ -139,19 +123,7 @@ class TestTokenPlumbing:
     def test_layer_norm_gradient(self, operand):
         # the inverse deviation is computed on its [N, 1] column, so the
         # gradient sums over the embedding axis before exp and log
-        rng = np.random.default_rng(2)
-        with nm.check_mode():
-            ops = {"x": Tensor(rng.standard_normal((6, 8)) * 3 + 1),
-                   "gamma": Tensor(rng.standard_normal(8)),
-                   "beta": Tensor(rng.standard_normal(8))}
-            w = Tensor(rng.standard_normal((6, 8)))
-
-        def f(t):
-            args = {**ops, operand: t}
-            return (dsat.layer_norm(args["x"], args["gamma"], args["beta"]) * w).sum()
-
-        err = nm.gradient_check(f, ops[operand], epsilon=1e-5)
-        assert err <= 1e-4
+        assert _table_gradient_error(f"layer_norm_{operand}") <= 1e-4
 
 
 class TestEncoder:

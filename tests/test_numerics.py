@@ -1,12 +1,13 @@
+import ast
 import contextlib
+import inspect
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from monopgc import numerics as nm
-from monopgc.dsat import _ones
+from monopgc import numerics as nm, selfcheck
 from monopgc.errors import DimensionError, DomainError, EvaluationError
 from monopgc.numerics import Tensor
 
@@ -368,72 +369,45 @@ class TestGradientCheck:
         with pytest.raises(EvaluationError):
             nm.gradient_check(f, Tensor([-1.0]))
 
-    @staticmethod
-    def _builders(rng):
-        # constants are drawn once so each f is a fixed function of x
-        c34 = Tensor(rng.standard_normal((3, 4)))
-        m42 = Tensor(rng.standard_normal((4, 2)))
-        p222 = Tensor(rng.standard_normal((2, 2, 2)))
-        p223 = Tensor(rng.standard_normal((2, 2, 3)))
-        p268 = Tensor(rng.standard_normal((2, 6, 8)))
-        c64 = Tensor(rng.standard_normal((6, 4)))
-        kern = Tensor(rng.standard_normal((3, 2, 3, 3)))
-        kbias = Tensor(rng.standard_normal(3))
-        c355 = Tensor(rng.standard_normal((3, 5, 5)))
-        c255 = Tensor(rng.standard_normal((2, 5, 5)))
-        r14 = Tensor(rng.standard_normal((1, 4)))
-        c31 = Tensor(rng.standard_normal((3, 1)))
-        v41 = Tensor(rng.standard_normal((4, 1)))
-        kern1 = Tensor(rng.standard_normal((1, 2, 3, 3)))
-        c155 = Tensor(rng.standard_normal((1, 5, 5)))
-        r13 = Tensor(rng.standard_normal((1, 3)))
-        return {
-            "add": (lambda x: (x + c34).sum(), (3, 4)),
-            "mul": (lambda x: (x * c34).sum(), (3, 4)),
-            "mul_scalar": (lambda x: (x * 2.5).sum(), (3, 4)),
-            "exp": (lambda x: nm.exp(x).sum(), (3, 4)),
-            "log": (lambda x: nm.log(x * x + 1.0).sum(), (3, 4)),
-            "elu": (lambda x: nm.elu(x).sum(), (3, 4)),
-            "relu": (lambda x: nm.relu(x).sum(), (3, 4)),
-            "sigmoid": (lambda x: nm.sigmoid(x).sum(), (3, 4)),
-            "matmul": (lambda x: nm.matmul(x, m42).sum(), (3, 4)),
-            "softmax": (lambda x: (nm.softmax(x, axis=1) * c34).sum(), (3, 4)),
-            "mean": (lambda x: nm.reduce_mean(x, axis=1).sum(), (3, 4)),
-            "maxpool": (lambda x: (nm.max_pool2d(x, 2) * p222).sum(), (2, 4, 4)),
-            "avgpool": (lambda x: (nm.adaptive_avg_pool2d(x, (2, 3)) * p223).sum(), (2, 5, 7)),
-            "resize": (lambda x: (nm.bilinear_resize(x, (6, 8)) * p268).sum(), (2, 3, 4)),
-            "concat": (lambda x: (nm.concat([x, x * 2.0], axis=0) * c64).sum(), (3, 4)),
-            "reshape_transpose": (lambda x: (nm.transpose(nm.reshape(x, (4, 3)), (1, 0)) * c34.reshape(4, 3).transpose(1, 0)).sum(), (3, 4)),
-            "conv2d": (lambda x: (nm.conv2d(x, kern, kbias) * c355).sum(), (2, 5, 5)),
-            "conv2d_weight": (lambda w: (nm.conv2d(c255, w, kbias) * c355).sum(), (3, 2, 3, 3)),
-            "conv2d_bias": (lambda b: (nm.conv2d(c255, kern, b) * c355).sum(), (3,)),
-            "division": (lambda x: ((x * c34) / (x * x + 1.0)).sum(), (3, 4)),
-            # rank-1 products: broadcast multiplies forward and backward
-            "matmul_outer_column": (lambda x: (nm.matmul(x, r14) * c34).sum(), (3, 1)),
-            "matmul_outer_row": (lambda x: (nm.matmul(c31, x) * c34).sum(), (1, 4)),
-            "matmul_column_output": (lambda x: (nm.matmul(x, v41) * c31).sum(), (3, 4)),
-            "matmul_row_input": (lambda x: (nm.matmul(r14, x) * r13).sum(), (4, 3)),
-            "conv2d_single_filter": (lambda x: (nm.conv2d(x, kern1) * c155).sum(), (2, 5, 5)),
-            # zero-stride ones operands, differentiated through the other
-            # operand: expand_rows' `ones @ row`, the layer-norm `stat @ ones`,
-            # and a GEMM with ones on either side
-            "matmul_ones_column_left": (lambda x: (nm.matmul(_ones((3, 1)), x) * c34).sum(), (1, 4)),
-            "matmul_ones_row_right": (lambda x: (nm.matmul(x, _ones((1, 4))) * c34).sum(), (3, 1)),
-            "matmul_ones_left": (lambda x: (nm.matmul(_ones((3, 4)), x) * c34).sum(), (4, 4)),
-            "matmul_ones_right": (lambda x: (nm.matmul(x, _ones((4, 4))) * c34).sum(), (3, 4)),
-        }
 
-    def test_every_kernel_matches_finite_differences(self):
-        # >= 10 random trials per differentiable kernel, 64-bit mode
-        for seed in range(10):
-            rng = np.random.default_rng(seed * 101 + 13)
+class TestGradientCases:
+    """selfcheck.gradient_cases leaves no kernel out and no case idle."""
+
+    @staticmethod
+    def _op_tags():
+        # the constant tag of every Tensor._result and _separable call in numerics
+        tags = set()
+        for node in ast.walk(ast.parse(inspect.getsource(nm))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if ((isinstance(func, ast.Attribute) and func.attr == "_result")
+                    or (isinstance(func, ast.Name) and func.id == "_separable")):
+                tag = node.args[-1]
+                if isinstance(tag, ast.Constant) and isinstance(tag.value, str):
+                    tags.add(tag.value)
+        return tags
+
+    def test_cases_reach_every_op_tag_with_a_nonzero_gradient(self, monkeypatch):
+        tags = self._op_tags()
+        assert {"conv2d", "bilinear_resize"} <= tags  # both call forms are read
+        on_tape = set()
+        result = Tensor._result
+
+        def recording(cls, data, parents, vjp, op):
+            out = result(data, parents, vjp, op)
+            if out._node is not None:
+                on_tape.add(op)
+            return out
+
+        monkeypatch.setattr(Tensor, "_result", classmethod(recording))
+        for name, (f, x) in selfcheck.gradient_trials(0).items():
             with nm.check_mode():
-                builders = self._builders(rng)
-                inputs = {name: Tensor(rng.standard_normal(shape) + 0.1)
-                          for name, (f, shape) in builders.items()}
-            for name, (f, _) in builders.items():
-                err = nm.gradient_check(f, inputs[name], epsilon=1e-5)
-                assert err <= 1e-4, f"{name} seed {seed}: {err}"
+                x = Tensor(x.data, requires_grad=True)
+                f(x).backward()
+            # gradient_check scores an f that ignores its input as error 0
+            assert x.grad is not None and np.any(x.grad != 0), f"{name}: zero gradient"
+        assert tags <= on_tape, f"no gradient case puts {sorted(tags - on_tape)} on the tape"
 
 
 class TestTapeSemantics:
@@ -549,11 +523,6 @@ class TestShapeDiscipline:
     def test_scalar_broadcast_allowed(self):
         out = Tensor(np.ones((2, 3))) + 1.0
         assert np.all(out.data == 2.0)
-
-    def test_finiteness_check(self):
-        t = Tensor([1.0, np.inf])
-        assert not t.is_finite()
-        assert Tensor([1.0, -2.0]).is_finite()
 
 
 class TestModes:
