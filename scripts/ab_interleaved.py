@@ -121,13 +121,18 @@ class Side:
         t0 = time.perf_counter()
         preds = pipeline.predictions_on_samples(self.model, self.samples[:IMAGES])
         self.infer_ms.append((time.perf_counter() - t0) * 1e3 / IMAGES)
-        self.detections.append({stem: [dataclasses.astuple(d) for d in dets]
+        self.detections.append({stem: [_detection_fields(d) for d in dets]
                                 for stem, dets in preds.items()})
         cfg = self.round_config
         t0 = time.perf_counter()
         result, _ = pipeline.train(cfg, samples=self.samples)
         self.train_ms.append((time.perf_counter() - t0) * 1e3 / (cfg.steps * cfg.batch_size))
         self.round_logs.append(result.log_lines)
+
+
+def _detection_fields(d):
+    """The fields of a detection that both sides have, for comparison."""
+    return (d.class_name, d.score, d.location, d.dimensions, d.yaw)
 
 
 def _quartiles(values):

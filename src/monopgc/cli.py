@@ -176,11 +176,6 @@ def cmd_infer(args):
 def cmd_eval(args):
     predictions, ground_truth = ev.load_directory_pairs(args.gt, args.pred)
     results = ev.evaluate_all(predictions, ground_truth)
-    unscored = ev.unscored_classes(ground_truth)
-    if unscored:
-        counts = ", ".join(f"{cls} ({n} box{'' if n == 1 else 'es'})" for cls, n in unscored.items())
-        print(f"warning: ground truth holds classes that eval does not score: {counts}; "
-              f"scored classes are {', '.join(ev.DEFAULT_CLASSES)}", file=sys.stderr)
     table, kv = ev.format_report(results)
     print(table)
     out_dir = Path(args.out)

@@ -23,14 +23,13 @@ into false positives.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import _stem_files, read_label_file
 from .errors import DomainError, EvaluationError
-from .head import DEFAULT_CLASSES, detection_from_label
+from .head import detection_from_label
 
 DIFFICULTIES = ("easy", "moderate", "hard")
 METRICS = ("3d", "bev")
@@ -414,37 +413,37 @@ def _ap_from_rows(rows, n_gt):
 def evaluate_all(predictions, ground_truth, config=None):
     """AP table over classes x difficulties x {3d, bev}, values in percent.
 
-    The pair tables are built once and shared by all the buckets.
+    The classes are the keys of `config.iou_thresholds`, in their order, then
+    every other class of the ground truth (DontCare aside) by name, at
+    DEFAULT_IOU_THRESHOLD. The pair tables are built once and shared by all
+    the buckets.
     """
     config = config or EvalConfig()
-    tables = build_pair_tables(predictions, ground_truth, DEFAULT_CLASSES)
+    found = {o.class_name for objects in ground_truth.values() for o in objects if not o.ignorable}
+    classes = (*config.iou_thresholds, *sorted(found - set(config.iou_thresholds)))
+    tables = build_pair_tables(predictions, ground_truth, classes)
     results = {}
     for metric in METRICS:
-        for cls in DEFAULT_CLASSES:
+        for cls in classes:
             for diff in BUCKETS:
                 ap = _bucket_ap(tables[cls], config, metric, diff, cls)
                 results[(metric, cls, diff)] = None if ap is None else 100.0 * ap
     return results
 
 
-def unscored_classes(ground_truth):
-    """{class: box count} of the ground truth's classes that `evaluate_all`
-    does not score, by name; DontCare regions are not counted."""
-    counts = Counter(o.class_name for objects in ground_truth.values() for o in objects
-                     if not o.ignorable and o.class_name not in DEFAULT_CLASSES)
-    return dict(sorted(counts.items()))
-
-
 def format_report(results):
-    """Plain-text table plus machine-readable key=value lines."""
+    """Plain-text table plus machine-readable key=value lines, one row per
+    class of the results, in their order."""
+    classes = dict.fromkeys(cls for _, cls, _ in results)
+    width = max([12, *map(len, classes)])  # KITTI's Person_sitting has 14 letters
     lines = []
     kv = []
     for metric in METRICS:
         lines.append(f"AP40 ({metric.upper()}, percent)")
-        header = f"{'class':<12}" + "".join(f"{d:>10}" for d in BUCKETS)
+        header = f"{'class':<{width}}" + "".join(f"{d:>10}" for d in BUCKETS)
         lines.append(header)
-        for cls in DEFAULT_CLASSES:
-            row = f"{cls:<12}"
+        for cls in classes:
+            row = f"{cls:<{width}}"
             for diff in BUCKETS:
                 val = results.get((metric, cls, diff))
                 row += f"{'n/a':>10}" if val is None else f"{val:>10.2f}"

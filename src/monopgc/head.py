@@ -23,7 +23,6 @@ from .errors import DimensionError, DomainError
 from .geometry import _wrap_angle
 from .numerics import Tensor
 
-DEFAULT_CLASSES = ("Car", "Pedestrian", "Cyclist")
 HEATMAP_BIAS = -2.19          # sigmoid(-2.19) ~ 0.1 initial score
 DEPTH_BIAS = 15.0             # start depth regression mid-range
 SCORE_EPS = 1e-5              # keeps heatmap losses away from log(0)
@@ -48,7 +47,6 @@ class Detection3D:
     """One decoded box. `location` is the geometric box center (camera frame);
     the KITTI convention of bottom-face-center applies only in label files."""
 
-    class_id: int
     class_name: str
     score: float
     location: tuple      # (x, y, z) of the box center
@@ -77,7 +75,7 @@ class Detection3D:
 BRANCHES = ("heatmap", "offset", "dims", "yaw", "depth", "log_b")
 
 
-def init_head_params(rng, channels, num_classes=len(DEFAULT_CLASSES)):
+def init_head_params(rng, channels, num_classes):
     out_channels = {"heatmap": num_classes, "offset": 2, "dims": 3,
                     "yaw": 2, "depth": 1, "log_b": 1}
     p = {}
@@ -145,16 +143,18 @@ def draw_gaussian(heatmap, cx, cy, radius):
     heatmap[y0:y1, x0:x1] = np.maximum(heatmap[y0:y1, x0:x1], g)
 
 
-def render_targets(objects, calib, feature_hw, stride=4, classes=DEFAULT_CLASSES):
+def render_targets(objects, calib, feature_hw, classes, stride=4):
     """Ground-truth maps for the detection loss, as plain arrays.
 
     Each usable object projects its 3D box center to the feature grid and
     contributes one Gaussian peak, plus regression targets at the center
     cell: sub-cell offset, log dims, yaw (sin, cos), and center depth.
+    The heatmap has one channel per name in `classes`, in order; objects of
+    any other class draw nothing.
     """
     h, w = feature_hw
     k = len(classes)
-    class_ids = {name: i for i, name in enumerate(classes)}
+    channel = {name: i for i, name in enumerate(classes)}
     t = {
         "heatmap": np.zeros((k, h, w)),
         "pos_mask": np.zeros((h, w)),
@@ -165,7 +165,7 @@ def render_targets(objects, calib, feature_hw, stride=4, classes=DEFAULT_CLASSES
         "n_pos": 0,
     }
     for obj in objects or ():
-        if getattr(obj, "ignorable", False) or obj.class_name not in class_ids:
+        if getattr(obj, "ignorable", False) or obj.class_name not in channel:
             continue
         cx3, cy3, cz3 = obj.center3d()
         if cz3 <= 0:
@@ -178,8 +178,8 @@ def render_targets(objects, calib, feature_hw, stride=4, classes=DEFAULT_CLASSES
         left, top, right, bottom = obj.bbox2d
         radius = gaussian_radius((bottom - top) / stride, (right - left) / stride)
         radius = max(1, int(radius))
-        draw_gaussian(t["heatmap"][class_ids[obj.class_name]], col, row, radius)
-        t["heatmap"][class_ids[obj.class_name], row, col] = 1.0
+        draw_gaussian(t["heatmap"][channel[obj.class_name]], col, row, radius)
+        t["heatmap"][channel[obj.class_name], row, col] = 1.0
         t["pos_mask"][row, col] = 1.0
         t["offset"][:, row, col] = (fu - col, fv - row)
         t["dims_log"][:, row, col] = np.log(np.asarray(obj.dimensions))
@@ -275,13 +275,14 @@ def _local_maxima(plane):
     return keep
 
 
-def decode_detections(maps, calib, score_threshold=0.25, top_k=50, stride=4,
-                      classes=DEFAULT_CLASSES, uncertainty_discount=True):
+def decode_detections(maps, calib, classes, score_threshold=0.25, top_k=50, stride=4,
+                      uncertainty_discount=True):
     """Peaks of the class heatmaps to Detection3D records.
 
     A peak is a 3x3 local maximum above the threshold; the top_k survivors
     by score are unprojected through the inverse intrinsics at the predicted
     depth. Scores are optionally multiplied by exp(-log_b) and clipped to 1.
+    `classes` names the heatmap channels, in order.
     """
     if not 0 < score_threshold < 1:
         raise DomainError(f"score threshold must be in (0,1), got {score_threshold}")
@@ -312,8 +313,7 @@ def decode_detections(maps, calib, score_threshold=0.25, top_k=50, stride=4,
         if uncertainty_discount:
             score = score * math.exp(-float(maps.depth_log_b.data[0, row, col]))
         detections.append(Detection3D(
-            class_id=cls, class_name=classes[cls] if cls < len(classes) else str(cls),
-            score=float(np.clip(score, 0.0, 1.0)),
+            class_name=classes[cls], score=float(np.clip(score, 0.0, 1.0)),
             location=(float(cam[0]), float(cam[1]), float(cam[2])),
             dimensions=dims, yaw=yaw))
     return detections
@@ -330,12 +330,10 @@ def detection_to_label(det):
         location=(x, yc + h / 2.0, z), rotation_y=det.yaw, score=det.score)
 
 
-def detection_from_label(obj, classes=DEFAULT_CLASSES):
+def detection_from_label(obj):
     """LabeledObject to Detection3D (center location), for evaluation."""
-    cls_id = classes.index(obj.class_name) if obj.class_name in classes else -1
     return Detection3D(
-        class_id=cls_id, class_name=obj.class_name,
-        score=1.0 if obj.score is None else obj.score,
+        class_name=obj.class_name, score=1.0 if obj.score is None else obj.score,
         location=obj.center3d(), dimensions=obj.dimensions, yaw=obj.rotation_y)
 
 

@@ -84,6 +84,12 @@ def test_criterion_1_gradient_fidelity():
         ("decoder.blocks.0.cross.v_w", model.tree["decoder"]["blocks"][0]["cross"], "v_w"),
         ("head.depth2_w", model.tree["head"], "depth2_w"),
     ]
+    # gradient_check scores an all-zero tape gradient against all-zero finite
+    # differences as error 0, so each probe must first receive some gradient
+    with nm.check_mode():
+        model.loss(model.forward(sample), targets)[0].backward()
+    for name, holder, key in probes:
+        assert np.any(holder[key].grad), f"no gradient reaches {name}"
     rng = np.random.default_rng(0)
     worst_e2e = 0.0
     for name, holder, key in probes:

@@ -4,7 +4,7 @@ import signal
 import numpy as np
 import pytest
 
-from monopgc import cli, data, errors, pipeline, selfcheck
+from monopgc import cli, data, errors, evaluation as ev, pipeline, selfcheck
 from monopgc.checkpoint import load_checkpoint, save_checkpoint
 from monopgc.config import load_config
 from monopgc.errors import DimensionError, MonoPGCError
@@ -368,18 +368,49 @@ class TestEvalCommand:
         kv = (tmp_path / "report" / "metrics.kv").read_text()
         assert "ap3d.Car.overall=0.00" in kv
 
-    def test_unscored_ground_truth_classes_are_named_in_one_warning(self, tmp_path, capsys):
+    def test_ground_truth_classes_outside_the_iou_table_are_scored(self, tmp_path, capsys):
         van = GT_LINE.replace("Car", "Van", 1)
         dontcare = "DontCare -1 -1 -10 50.0 50.0 60.0 60.0 -1 -1 -1 -1000 -1000 -1000 -10"
         gt = "\n".join([van, van, GT_LINE.replace("Car", "Truck", 1), dontcare]) + "\n"
-        argv = _eval_argv(tmp_path, gt=gt, pred=van + " 0.90\n")
+        # 1 m along the box's 3.9 m length: IoU 2.9 / 4.9 = 0.59, a match at 0.5 but not at 0.7
+        shifted = van.replace(" 0.00 1.50 15.00 ", " 1.00 1.50 15.00 ")
+        argv = _eval_argv(tmp_path, gt=gt, pred=shifted + " 0.90\n")
         assert run_cli(*argv, "--out", str(tmp_path / "report")) == 0
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: ")
-        assert "Truck (1 box)" in err[0] and "Van (2 boxes)" in err[0]
-        assert "DontCare" not in err[0]
+        assert capsys.readouterr().err == ""
         kv = (tmp_path / "report" / "metrics.kv").read_text()
-        assert "ap3d.Car.overall=n/a" in kv and "Van" not in kv
+        rows = list(dict.fromkeys(line.split(".")[1] for line in kv.splitlines()))
+        assert rows == ["Car", "Pedestrian", "Cyclist", "Truck", "Van"]
+        assert "ap3d.Car.overall=n/a" in kv
+        # one of the two Van boxes found: AP40 at recall 1/2
+        assert "ap3d.Van.overall=50.00" in kv and "apbev.Van.overall=50.00" in kv
+        assert "ap3d.Truck.overall=0.00" in kv
+        table = (tmp_path / "report" / "metrics.txt").read_text()
+        assert "Van" in table and "DontCare" not in table
+
+    def test_kitti_run_of_a_class_outside_the_iou_table(self, tmp_path, capsys):
+        dirs = {name: tmp_path / name for name in ("image", "label", "calib")}
+        scenes = data.SceneConfig(image_size=(48, 48), class_name="Van")
+        for seed in range(4):
+            data.scene_to_files(data.generate_synthetic_scene(seed, scenes), f"{seed:06d}",
+                                dirs["image"], dirs["label"], dirs["calib"])
+        cfg = tmp_path / "van.cfg"
+        cfg.write_text(SMALL_CFG + f"run.mode=kitti\ndata.image_dir={dirs['image']}\n"
+                       f"data.label_dir={dirs['label']}\ndata.calib_dir={dirs['calib']}\n"
+                       "data.classes=Van\ndecode.score_threshold=0.05\n")
+        run, pred, report = tmp_path / "run", tmp_path / "pred", tmp_path / "report"
+        assert run_cli("train", "--config", str(cfg), "--out", str(run)) == 0
+        assert run_cli("infer", "--config", str(cfg), "--checkpoint", str(run / "final.ckpt"),
+                       "--image-dir", str(dirs["image"]), "--calib-dir", str(dirs["calib"]),
+                       "--out", str(pred)) == 0
+        assert any(f.read_text() for f in pred.iterdir())
+        assert run_cli("eval", "--gt", str(dirs["label"]), "--pred", str(pred),
+                       "--out", str(report)) == 0
+        assert capsys.readouterr().err == ""
+        kv = dict(line.split("=") for line in (report / "metrics.kv").read_text().splitlines())
+        van = {key: value for key, value in kv.items() if ".Van." in key}
+        assert sorted(van) == sorted(f"ap{metric}.Van.{bucket}"
+                                     for metric in ("3d", "bev") for bucket in ev.BUCKETS)
+        assert any(value != "n/a" for value in van.values())
 
     def test_scored_classes_give_no_warning(self, tmp_path, capsys):
         assert run_cli(*_eval_argv(tmp_path), "--out", str(tmp_path / "report")) == 0

@@ -41,7 +41,7 @@ class TestLabelParsing:
         with pytest.raises(ParseError, match="unparseable number"):
             data.parse_kitti_label(" ".join(fields))
 
-    @pytest.mark.parametrize("name", ["Car", "Tram"])  # Tram: a class eval does not score
+    @pytest.mark.parametrize("name", ["Car", "Tram"])  # Tram: a class outside the IoU table
     @pytest.mark.parametrize("length", ["0.0", "-4.0"])
     def test_box_side_of_zero_or_less(self, name, length):
         line = CAR_LINE.replace("Car", name).replace(" 4.0 ", f" {length} ")

@@ -83,7 +83,7 @@ class TestRotatedIou:
 
 
 def det(x=0.0, y=1.0, z=10.0, h=1.5, w=1.6, l=4.0, yaw=0.0, score=1.0, cls="Car"):
-    return head.Detection3D(class_id=0, class_name=cls, score=score,
+    return head.Detection3D(class_name=cls, score=score,
                             location=(x, y, z), dimensions=(h, w, l), yaw=yaw)
 
 
@@ -202,6 +202,13 @@ class TestReportAndDirectories:
         assert "apbev.Car.overall=100.00" in kv
         assert "n/a" in kv  # no pedestrians anywhere
         assert "Car" in table
+
+    def test_report_columns_fit_the_longest_class_name(self):
+        gts = {"000": [label(0.0, 10.0, cls="Person_sitting")]}
+        table, kv = ev.format_report(ev.evaluate_all({"000": []}, gts))
+        assert "ap3d.Person_sitting.overall=0.00" in kv
+        lines = [line for line in table.splitlines() if line]
+        assert len({len(line) for line in lines if not line.startswith("AP40")}) == 1
 
     def test_directory_loading(self, tmp_path):
         scene = data.generate_synthetic_scene(21)

@@ -7,6 +7,8 @@ from monopgc import data, geometry as geo, head, numerics as nm
 from monopgc.errors import DomainError
 from monopgc.numerics import Tensor
 
+KITTI_CLASSES = ("Car", "Pedestrian", "Cyclist")
+
 
 def maps_from_targets(targets, sharp_score=0.999):
     """Perfect head maps for the rendered targets (decode round-trip oracle)."""
@@ -27,7 +29,7 @@ def aleatoric_depth_term(abs_error, log_b):
     return abs_error * math.exp(-log_b) + log_b
 
 
-def fresh_maps(seed=0, k=3, hw=(8, 8)):
+def fresh_maps(seed=0, k=len(KITTI_CLASSES), hw=(8, 8)):
     rng = np.random.default_rng(seed)
     f = Tensor(rng.standard_normal((8, *hw)))
     params = head.init_head_params(rng, 8, num_classes=k)
@@ -52,7 +54,7 @@ class TestPredictHeadMaps:
     def test_heatmap_bias_initial_score(self):
         # fresh head on zero features scores sigmoid(-2.19) = 0.100653...
         rng = np.random.default_rng(2)
-        params = head.init_head_params(rng, 8)
+        params = head.init_head_params(rng, 8, num_classes=len(KITTI_CLASSES))
         maps = head.predict_head_maps(Tensor(np.zeros((8, 6, 6))), params)
         expected = 1.0 / (1.0 + math.exp(2.19))
         np.testing.assert_allclose(maps.class_heatmap.data, expected, atol=1e-5)
@@ -70,7 +72,8 @@ class TestTargetsAndDecode:
         scene = data.generate_synthetic_scene(seed)
         h, w = scene.image.shape[1:]
         feature_hw = (h // 4, w // 4)
-        targets = head.render_targets(scene.objects, scene.calib, feature_hw, stride=4)
+        targets = head.render_targets(scene.objects, scene.calib, feature_hw,
+                                      classes=KITTI_CLASSES, stride=4)
         return scene, targets
 
     def test_positive_count(self):
@@ -98,7 +101,8 @@ class TestTargetsAndDecode:
     def test_all_below_threshold_empty(self):
         maps = fresh_maps(4)
         calib = geo.CameraCalibration.from_pinhole(50.0, 50.0, 16.0, 16.0)
-        dets = head.decode_detections(maps, calib, score_threshold=0.999)
+        dets = head.decode_detections(maps, calib, classes=KITTI_CLASSES,
+                                      score_threshold=0.999)
         assert dets == []
 
     def test_top_k_ordering(self):
@@ -123,10 +127,11 @@ class TestTargetsAndDecode:
         for seed in (1, 2, 3):
             scene = data.generate_synthetic_scene(seed)
             h, w = scene.image.shape[1:]
-            targets = head.render_targets(scene.objects, scene.calib, (h // 4, w // 4))
+            targets = head.render_targets(scene.objects, scene.calib, (h // 4, w // 4),
+                                          classes=KITTI_CLASSES)
             maps = maps_from_targets(targets)
-            dets = head.decode_detections(maps, scene.calib, score_threshold=0.5,
-                                          uncertainty_discount=False)
+            dets = head.decode_detections(maps, scene.calib, classes=KITTI_CLASSES,
+                                          score_threshold=0.5, uncertainty_discount=False)
             assert len(dets) == len(scene.objects)
             cell = 4.0  # one feature cell in pixels
             for obj in scene.objects:
@@ -143,7 +148,8 @@ class TestDetectionLoss:
     def _setup(self, seed=5):
         scene = data.generate_synthetic_scene(seed)
         h, w = scene.image.shape[1:]
-        targets = head.render_targets(scene.objects, scene.calib, (h // 4, w // 4))
+        targets = head.render_targets(scene.objects, scene.calib, (h // 4, w // 4),
+                                      classes=KITTI_CLASSES)
         return scene, targets
 
     def test_perfect_regression_zero_reg(self):
@@ -183,7 +189,7 @@ class TestDetectionLoss:
 
     def test_no_positives_warns(self):
         maps = fresh_maps(6)
-        targets = head.render_targets([], None, (8, 8))
+        targets = head.render_targets([], None, (8, 8), classes=KITTI_CLASSES)
         with pytest.warns(UserWarning):
             total, breakdown = head.detection_loss(maps, targets)
         assert breakdown["reg"] == 0.0
@@ -194,7 +200,7 @@ class TestDetectionLoss:
         rng = np.random.default_rng(0)
         hw = targets["pos_mask"].shape
         with nm.check_mode():
-            params = head.init_head_params(rng, 6)
+            params = head.init_head_params(rng, 6, num_classes=len(KITTI_CLASSES))
 
         def f(feat):
             maps = head.predict_head_maps(feat, params)
@@ -227,7 +233,7 @@ class TestRecordConversions:
 
     def test_positive_dims_enforced(self):
         with pytest.raises(DomainError):
-            head.Detection3D(0, "Car", 0.5, (0, 0, 10), (0.0, 1.0, 1.0), 0.0)
+            head.Detection3D("Car", 0.5, (0, 0, 10), (0.0, 1.0, 1.0), 0.0)
 
     def test_bbox2d_projection(self):
         scene = data.generate_synthetic_scene(1)
